@@ -8,8 +8,8 @@ from .codec import (BitStream, CrcError, DecodeError, DOMINANT, EncodedFrame,
                     decode_frame, destuff, encode_frame, frame_bit_length,
                     stuff)
 from .node import (AcceptanceFilter, BusOffError, CounterEvent, Node,
-                   NodeMode, NodeState, NodeStatus, accepts, node_status,
-                   observe_recovery, update_counters)
+                   NodeMode, NodeState, NodeStatus, accepts, observe_recovery,
+                   update_counters)
 from .bus import (Bus, BusConfig, ConfigError, DuplicateNameError, EventKind,
                   RateDistanceError, RateRangeError, ScheduleEntry,
                   ScheduleForDetachedNodeError, TooManyNodesError, TraceEvent,

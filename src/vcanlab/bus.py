@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import codec
 from .codec import DOMINANT, RECESSIVE, TAIL_BITS
@@ -95,7 +95,7 @@ class EventKind(enum.Enum):
     FAULT_INJECTED = "FaultInjected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     time_bits: int
     time_s: float
@@ -168,6 +168,9 @@ class _TxContext:
 class Bus:
     """A virtual bus plus its attached nodes and one running simulation."""
 
+    # Tests clear this to step every bit, the reference the skips must match.
+    _SKIP = True
+
     def __init__(self, config: Optional[BusConfig] = None):
         self.config = config or BusConfig()
         self.nodes: Dict[str, Node] = {}
@@ -180,6 +183,15 @@ class Bus:
         self._interm = 0
         self._ctx: Optional[_TxContext] = None
         self._events: List[TraceEvent] = []
+        self._bus_off: Set[Node] = set()
+        # Events at the same bit time share one time_s float.
+        self._emit_bits = -1
+        self._emit_s = 0.0
+
+    @property
+    def now(self) -> int:
+        """Bit time the simulation stands at: the next bit to be simulated."""
+        return self._t
 
     # -- setup -----------------------------------------------------------
 
@@ -211,17 +223,25 @@ class Bus:
 
     def _emit(self, kind: EventKind, node: Optional[str], frame: Optional[Frame],
               time_bits: int) -> None:
-        self._events.append(TraceEvent(
-            time_bits, time_bits / self.config.bitrate_bps, node, kind, frame))
+        if time_bits != self._emit_bits:
+            self._emit_bits = time_bits
+            self._emit_s = time_bits / self.config.bitrate_bps
+        self._events.append(TraceEvent(time_bits, self._emit_s, node, kind, frame))
 
     def _apply_counter(self, node: Node, event: CounterEvent, t: int) -> None:
-        was_off = node.state.mode is NodeMode.BUS_OFF
-        node.state = update_counters(node.state, event)
-        if node.state.mode is NodeMode.BUS_OFF and not was_off:
+        old = node.state
+        new = update_counters(old, event)
+        if new is old:
+            return
+        node.state = new
+        if new.mode is NodeMode.BUS_OFF and old.mode is not NodeMode.BUS_OFF:
             node.partial_recessive = 0
+            self._bus_off.add(node)
             self._emit(EventKind.BUS_OFF_ENTERED, node.name, None, t)
 
     def _recovery_tick(self, resolved: int, t: int) -> None:
+        if not self._bus_off:
+            return
         for node in self._order:
             if node.state.mode is not NodeMode.BUS_OFF:
                 continue
@@ -234,13 +254,14 @@ class Bus:
                 groups = node.state.recessive_run_groups + 1
                 if groups >= RECOVERY_GROUPS:
                     node.state = NodeState()
+                    self._bus_off.discard(node)
                     self._emit(EventKind.BUS_OFF_RECOVERED, node.name, None, t)
                 else:
                     node.state = NodeState(node.state.tec, node.state.rec,
                                            NodeMode.BUS_OFF, groups)
 
     def _any_bus_off(self) -> bool:
-        return any(n.state.mode is NodeMode.BUS_OFF for n in self._order)
+        return bool(self._bus_off)
 
     def _fault_in_range(self, lo: int, hi: int) -> bool:
         i = bisect.bisect_left(self._fault_bits, lo)
@@ -256,7 +277,8 @@ class Bus:
         """Advance the simulation to ``until_bits``, merging ``schedule``.
 
         Returns the trace events generated during this call; repeated calls
-        continue from where the previous one stopped.
+        continue from where the previous one stopped. No bit at or past
+        ``until_bits`` is simulated, so the bus then stands at ``until_bits``.
         """
         for entry in schedule:
             if entry.node not in self.nodes:
@@ -267,10 +289,12 @@ class Bus:
                     self.nodes[entry.node], entry.frame)
             bisect.insort(self._pending, item)
 
-        trace_start = len(self._events)
+        # Node states may have been assigned since the last call.
+        self._bus_off = {n for n in self._order if n.state.mode is NodeMode.BUS_OFF}
+        self._events = []
         while self._t < until_bits:
             self._step(until_bits)
-        return self._events[trace_start:]
+        return self._events
 
     def _pop_arrivals(self) -> None:
         while self._pending and self._pending[0][0] <= self._t:
@@ -302,12 +326,12 @@ class Bus:
                     self._emit(kind, n.name, entry.frame, t)
                     active.append(_Transmitter(n, entry))
                 self._ctx = _TxContext(t, active)
-                self._tx_bit(t)
+                self._tx_bit(t, until_bits)
                 return
             # idle
             resolved = self._resolved_idle(t)
             self._recovery_tick(resolved, t)
-            if (not self._any_bus_off() and t not in self._faults
+            if (self._SKIP and not self._any_bus_off() and t not in self._faults
                     and not any(n.queue for n in self._order)):
                 nxt = until_bits
                 if self._pending:
@@ -320,7 +344,7 @@ class Bus:
                 self._t = t + 1
             return
 
-        self._tx_bit(t)
+        self._tx_bit(t, until_bits)
 
     def _resolved_idle(self, t: int) -> int:
         if t in self._faults:
@@ -328,19 +352,22 @@ class Bus:
             return self._faults[t]
         return RECESSIVE
 
-    def _tx_bit(self, t: int) -> None:
+    def _tx_bit(self, t: int, until_bits: int) -> None:
         ctx = self._ctx
         assert ctx is not None
-        # Skip ahead through uncontested, unobservable stretches of the frame.
-        if len(ctx.active) == 1 and not self._any_bus_off():
+        # Skip ahead through uncontested, unobservable stretches of the frame,
+        # up to the ACK slot or the last EOF bit and never to the horizon.
+        if self._SKIP and len(ctx.active) == 1 and not self._any_bus_off():
             plan = ctx.active[0].plan
             end = ctx.start + plan.total_len
             if not self._fault_in_range(t, end):
-                target = plan.ack_idx if ctx.k < plan.ack_idx else plan.total_len - 1
+                target = plan.ack_idx if ctx.k <= plan.ack_idx else plan.total_len - 1
+                target = min(target, ctx.k + until_bits - 1 - t)
                 if target > ctx.k:
                     t += target - ctx.k
                     ctx.k = target
                     self._t = t
+                    self._pop_arrivals()
 
         k = ctx.k
         resolved_nat = RECESSIVE
@@ -418,13 +445,14 @@ class Bus:
             for n in self._order:
                 if n in tx_nodes or n.state.mode is NodeMode.BUS_OFF:
                     continue
-                self._apply_counter(n, CounterEvent.RX_SUCCESS, t)
-            for tr in still:
-                for n in self._order:
-                    if n in tx_nodes or n.state.mode is NodeMode.BUS_OFF:
-                        continue
+                # update_counters returns the state unchanged for RX_SUCCESS
+                # at rec == 0, so only receivers with rec > 0 need the call.
+                if n.state.rec:
+                    self._apply_counter(n, CounterEvent.RX_SUCCESS, t)
+                for tr in still:
                     if n.accepts(tr.entry.frame.id):
                         n.received.append(tr.entry.frame)
+            for tr in still:
                 self._emit(EventKind.FRAME_DELIVERED, tr.node.name, tr.entry.frame,
                            deliver_t)
             self._ctx = None
@@ -441,16 +469,3 @@ class Bus:
 
     def status_lines(self) -> List[str]:
         return [n.status().render() for n in self._order]
-
-
-def run(bus: Bus, schedule: Schedule, until_bits: int) -> List[TraceEvent]:
-    return bus.run(schedule, until_bits)
-
-
-def attach_node(bus: Bus, name: str,
-                accept_filter: Optional[AcceptanceFilter] = None) -> Node:
-    return bus.attach_node(name, accept_filter)
-
-
-def inject_fault(bus: Bus, at_bit: int, level: int) -> None:
-    bus.inject_fault(at_bit, level)

@@ -155,7 +155,7 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _make_gateway_bus(echo: bool):
+def _make_gateway_bus():
     bus = Bus(BusConfig())
     gw = bus.attach_node("gateway")
     peer = bus.attach_node("peer")
@@ -168,7 +168,7 @@ _GATEWAY_STEP_BITS = 10_000
 def _gateway_step(bus: Bus, session: GatewaySession, peer, echo: bool,
                   data: bytes) -> bytes:
     out = session.pump(data)
-    bus.run([], bus._t + _GATEWAY_STEP_BITS)
+    bus.run([], bus.now + _GATEWAY_STEP_BITS)
     if echo:
         while peer.received:
             frame = peer.received.pop(0)
@@ -176,12 +176,12 @@ def _gateway_step(bus: Bus, session: GatewaySession, peer, echo: bool,
                 peer.submit(frame)
             except Exception:
                 break
-        bus.run([], bus._t + _GATEWAY_STEP_BITS)
+        bus.run([], bus.now + _GATEWAY_STEP_BITS)
     return out + session.pump()
 
 
 def _cmd_gateway(args) -> int:
-    bus, gw, peer = _make_gateway_bus(args.echo)
+    bus, gw, peer = _make_gateway_bus()
     session = GatewaySession(gw)
     if args.stdio:
         stdin = sys.stdin.buffer

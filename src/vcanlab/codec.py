@@ -163,13 +163,6 @@ def destuff(bits: Sequence[int]) -> BitStream:
     return out
 
 
-def _id_bits(frame_id: FrameId) -> BitStream:
-    v = frame_id.value
-    if not frame_id.extended:
-        return [(v >> i) & 1 for i in range(10, -1, -1)]
-    return [(v >> i) & 1 for i in range(28, 17, -1)] + [(v >> i) & 1 for i in range(17, -1, -1)]
-
-
 def frame_body_bits(frame: Frame) -> BitStream:
     """Unstuffed SOF-through-data region (the CRC input)."""
     rtr = 0 if frame.kind is FrameKind.DATA else 1
@@ -314,16 +307,6 @@ def decode_frame(bits: Sequence[int]) -> Frame:
             byte = (byte << 1) | b
         payload.append(byte)
     return Frame(frame_id, FrameKind.DATA, dlc, bytes(payload))
-
-
-def arbitration_end(frame: Frame) -> int:
-    """Index of the last arbitration-field bit in the *stuffed* stream."""
-    body = frame_body_bits(frame)
-    crc = crc15(body)
-    region = body + [(crc >> i) & 1 for i in range(14, -1, -1)]
-    _, positions = stuff_with_positions(region)
-    end = EXT_ARBITRATION_END if frame.id.extended else STD_ARBITRATION_END
-    return positions[end]
 
 
 def bits_to_string(bits: Sequence[int]) -> str:

@@ -80,6 +80,8 @@ def update_counters(state: NodeState, event: CounterEvent) -> NodeState:
 
     Transmit errors add 8, receive errors 1; successes decrement toward zero.
     Entering bus-off preserves everything else (the queue survives recovery).
+    An event that changes nothing returns ``state`` itself, so a success at a
+    zero counter, such as ``RX_SUCCESS`` at ``rec == 0``, is a no-op.
     """
     tec, rec = state.tec, state.rec
     if event is CounterEvent.TX_ERROR:
@@ -91,7 +93,10 @@ def update_counters(state: NodeState, event: CounterEvent) -> NodeState:
     elif event is CounterEvent.RX_SUCCESS:
         rec = max(rec - 1, 0)
     bus_off = state.mode is NodeMode.BUS_OFF or tec > BUS_OFF_LIMIT
-    return replace(state, tec=tec, rec=rec, mode=_mode_for(tec, rec, bus_off))
+    mode = _mode_for(tec, rec, bus_off)
+    if tec == state.tec and rec == state.rec and mode is state.mode:
+        return state
+    return NodeState(tec, rec, mode, state.recessive_run_groups)
 
 
 def observe_recovery(state: NodeState, consecutive_recessive_bits: int) -> NodeState:
@@ -165,7 +170,3 @@ class Node:
     def status(self) -> NodeStatus:
         return NodeStatus(self.name, self.state.mode, self.state.tec,
                           self.state.rec, len(self.queue), self.delivered)
-
-
-def node_status(node: Node) -> NodeStatus:
-    return node.status()

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from . import codec
-from .bus import Bus, BusConfig, ConfigError, ScheduleEntry, TraceEvent, EventKind
+from .bus import (Bus, BusConfig, EventKind, ScheduleEntry, TraceEvent,
+                  validate_bus_config)
 from .gateway import SerialParseError, format_serial_line, parse_serial_line
 from .node import AcceptanceFilter
 
@@ -141,10 +142,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioSyntaxError(0, "missing bitrate=")
     if distance is None:
         raise ScenarioSyntaxError(0, "missing distance_m=")
-    try:
-        BusConfig(bitrate, distance, allow_slow=allow_slow)
-    except ConfigError as exc:
-        raise ConfigError(str(exc)) from exc
+    validate_bus_config(bitrate, distance, allow_slow)
     schedule.sort(key=lambda e: e.time_us)
     return Scenario(bitrate, distance, nodes, schedule, allow_slow, run_bits)
 

@@ -64,6 +64,13 @@ class TestUpdateCounters:
         assert modes == [NodeMode.ERROR_ACTIVE, NodeMode.ERROR_PASSIVE,
                          NodeMode.BUS_OFF]
 
+    @given(st.integers(0, 255))
+    def test_rx_success_at_zero_rec_is_a_no_op(self, tec):
+        # The bus skips RX_SUCCESS for receivers at rec == 0 on this rule.
+        mode = NodeMode.ERROR_PASSIVE if tec > 127 else NodeMode.ERROR_ACTIVE
+        s = NodeState(tec=tec, rec=0, mode=mode)
+        assert update_counters(s, CounterEvent.RX_SUCCESS) is s
+
     @given(st.lists(st.sampled_from(list(CounterEvent)), max_size=120))
     def test_counters_never_negative_and_mode_consistent(self, events):
         s = NodeState()

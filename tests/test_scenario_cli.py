@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from vcanlab.bus import (Bus, BusConfig, ConfigError, EventKind, ScheduleEntry,
+from vcanlab.bus import (Bus, BusConfig, ConfigError, EventKind,
+                         RateDistanceError, RateRangeError, ScheduleEntry,
                          TraceEvent)
 from vcanlab.cli import main
 from vcanlab.frame import data_frame
@@ -32,6 +33,12 @@ class TestParseScenario:
         bad = GOOD.replace("distance_m=40", "distance_m=100")
         with pytest.raises(ConfigError):
             parse_scenario(bad)
+
+    def test_config_error_keeps_its_subclass(self):
+        with pytest.raises(RateDistanceError):
+            parse_scenario(GOOD.replace("distance_m=40", "distance_m=100"))
+        with pytest.raises(RateRangeError):
+            parse_scenario(GOOD.replace("bitrate=1000000", "bitrate=2000000"))
 
     def test_unknown_node(self):
         with pytest.raises(UnknownNodeError):
@@ -101,6 +108,8 @@ class TestCliExitCodes:
     def test_simulate_config_error(self, tmp_path, capsys):
         path = tmp_path / "s.txt"
         path.write_text(GOOD.replace("distance_m=40", "distance_m=100"))
+        assert main(["simulate", str(path)]) == 2
+        path.write_text(GOOD.replace("bitrate=1000000", "bitrate=2000000"))
         assert main(["simulate", str(path)]) == 2
 
     def test_simulate_missing_file(self):
