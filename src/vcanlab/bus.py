@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import codec
-from .codec import DOMINANT, RECESSIVE, TAIL_BITS
+from .codec import DOMINANT, RECESSIVE
 from .frame import Frame
 from .node import (AcceptanceFilter, BusOffError, CounterEvent, Node, NodeMode,
                    NodeState, QueuedFrame, RECOVERY_GROUP_BITS, RECOVERY_GROUPS,
@@ -23,6 +23,7 @@ MIN_BITRATE_BPS = 20_000
 MAX_BITRATE_BPS = 1_000_000
 MAX_NODES = 110
 INTERMISSION_BITS = 3
+_BUS_LEVELS = (DOMINANT, RECESSIVE)
 # Conservative rate-distance product law covering both published operating
 # points: 5 kbps over 10 km sits exactly on the bound, 1 Mbps over 40 m under it.
 RATE_DISTANCE_LIMIT = 50_000_000  # bit*m/s
@@ -59,7 +60,7 @@ def validate_bus_config(bitrate_bps: int, distance_m: float,
     Bitrates below 20 kbps are accepted only with ``allow_slow`` (long-haul
     operation down to 5 kbps over 10 km); the product rule applies regardless.
     """
-    if bitrate_bps <= 0 or distance_m <= 0:
+    if not (bitrate_bps > 0 and distance_m > 0):  # also rejects NaN
         raise RateRangeError("bitrate and distance must be positive")
     if bitrate_bps > MAX_BITRATE_BPS:
         raise RateRangeError(f"bitrate {bitrate_bps} above {MAX_BITRATE_BPS} bps")
@@ -126,33 +127,18 @@ def resolve_bit(driven_levels: Sequence[int]) -> int:
     return RECESSIVE
 
 
-class _TxPlan:
-    """Cached transmission plan for one queued frame."""
-
-    __slots__ = ("stream", "arb_end", "region_len", "total_len", "ack_idx")
-
-    def __init__(self, frame: Frame):
-        body = codec.frame_body_bits(frame)
-        crc = codec.crc15(body)
-        region = body + [(crc >> i) & 1 for i in range(14, -1, -1)]
-        stuffed, positions = codec.stuff_with_positions(region)
-        arb = (codec.EXT_ARBITRATION_END if frame.id.extended
-               else codec.STD_ARBITRATION_END)
-        self.stream = stuffed + [RECESSIVE] * TAIL_BITS
-        self.arb_end = positions[arb]
-        self.region_len = len(stuffed)
-        self.total_len = len(self.stream)
-        self.ack_idx = self.region_len + 1  # after the CRC delimiter
-
-
 class _Transmitter:
     __slots__ = ("node", "entry", "plan")
 
-    def __init__(self, node: Node, entry: QueuedFrame):
+    def __init__(self, node: Node, entry: QueuedFrame,
+                 plans: Dict[Frame, codec.WirePlan]):
         self.node = node
         self.entry = entry
         if entry.enc is None:
-            entry.enc = _TxPlan(entry.frame)
+            plan = plans.get(entry.frame)
+            if plan is None:
+                plan = plans[entry.frame] = codec.wire_plan(entry.frame)
+            entry.enc = plan
         self.plan = entry.enc
 
 
@@ -184,6 +170,8 @@ class Bus:
         self._ctx: Optional[_TxContext] = None
         self._events: List[TraceEvent] = []
         self._bus_off: Set[Node] = set()
+        # Wire plans by frame: each distinct frame sent is laid out once.
+        self._plans: Dict[Frame, codec.WirePlan] = {}
         # Events at the same bit time share one time_s float.
         self._emit_bits = -1
         self._emit_s = 0.0
@@ -211,6 +199,11 @@ class Bus:
 
     def inject_fault(self, at_bit: int, level: int) -> None:
         """Override the resolved bus level at one bit time."""
+        if level not in _BUS_LEVELS:
+            raise ValueError(
+                f"fault level must be {DOMINANT} or {RECESSIVE}, got {level!r}")
+        if at_bit < 0:
+            raise ValueError(f"fault bit must be non-negative, got {at_bit}")
         if at_bit not in self._faults:
             bisect.insort(self._fault_bits, at_bit)
         self._faults[at_bit] = level
@@ -324,7 +317,7 @@ class Bus:
                     kind = EventKind.RETRANSMIT if entry.attempted else EventKind.TX_START
                     entry.attempted = True
                     self._emit(kind, n.name, entry.frame, t)
-                    active.append(_Transmitter(n, entry))
+                    active.append(_Transmitter(n, entry, self._plans))
                 self._ctx = _TxContext(t, active)
                 self._tx_bit(t, until_bits)
                 return

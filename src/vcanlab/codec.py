@@ -3,10 +3,19 @@
 Serialization, bit stuffing, the 15-bit CRC and decoding with a full error
 taxonomy. Bitstreams are plain lists of ints where dominant = 0 and
 recessive = 1.
+
+:func:`wire_plan` lays a frame out for the wire on strings and integers; the
+bus and :func:`encode_frame` both use it. :func:`frame_body_bits`,
+:func:`crc15`, :func:`stuff` and :func:`stuff_with_positions` are the
+bit-serial list forms of the same rules, the reference the tests check
+:func:`wire_plan` against. :func:`decode_frame` destuffs and parses on
+strings as well.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -183,130 +192,227 @@ def frame_body_bits(frame: Frame) -> BitStream:
     return bits
 
 
+class WirePlan:
+    """Stuffed wire layout of one frame, as the bus transmits it.
+
+    ``stream`` holds the levels (0 or 1) from SOF through the last EOF bit.
+    ``arb_end`` is the stuffed index of the last arbitration-field bit,
+    ``region_len`` the stuffed length of SOF through the last CRC bit and
+    ``ack_idx`` the index of the ACK slot.
+    """
+
+    __slots__ = ("stream", "crc", "stuff_count", "arb_end", "region_len",
+                 "total_len", "ack_idx")
+
+    def __init__(self, stream: bytes, crc: int, stuff_count: int, arb_end: int):
+        self.stream = stream
+        self.crc = crc
+        self.stuff_count = stuff_count
+        self.arb_end = arb_end
+        self.total_len = len(stream)
+        self.region_len = self.total_len - TAIL_BITS
+        self.ack_idx = self.region_len + 1  # after the CRC delimiter
+
+
+_RUN5 = re.compile("0{5}|1{5}")
+_FLIP = {"0": "1", "1": "0"}
+_TO_LEVELS = str.maketrans("01", "\x00\x01")
+# Levels 0 and 1 as '0' and '1'; any other byte as 'x', which is neither.
+_TO_CHARS = bytes.maketrans(bytes(range(256)), b"01" + b"x" * 254)
+_TAIL = "1" * TAIL_BITS
+
+
+def _crc15_of(bits: str) -> int:
+    """:func:`crc15` of a ``'0'/'1'`` string."""
+    # Leading zero bits keep a zero-initialised CRC at 0, so padding the
+    # bits to whole bytes on the left leaves the CRC unchanged.
+    crc = 0
+    table = _CRC_TABLE
+    for byte in int(bits, 2).to_bytes((len(bits) + 7) // 8, "big"):
+        crc = ((crc << 8) ^ table[((crc >> 7) ^ byte) & 0xFF]) & 0x7FFF
+    return crc
+
+
+def wire_plan(frame: Frame) -> WirePlan:
+    """Lay out ``frame`` for the wire: :func:`frame_body_bits`, its
+    :func:`crc15`, :func:`stuff` over both and the recessive tail, computed on
+    a ``'0'/'1'`` string and integers."""
+    v = frame.id.value
+    data = frame.kind is FrameKind.DATA
+    rtr = "0" if data else "1"
+    if frame.id.extended:
+        body = f"0{v >> 18:011b}11{v & 0x3FFFF:018b}{rtr}00{frame.dlc:04b}"
+        arb = EXT_ARBITRATION_END
+    else:
+        body = f"0{v:011b}{rtr}00{frame.dlc:04b}"
+        arb = STD_ARBITRATION_END
+    if data and frame.payload:
+        body += f"{int.from_bytes(frame.payload, 'big'):0{8 * frame.dlc}b}"
+
+    crc = _crc15_of(body)
+    region = f"{body}{crc:015b}"
+
+    # ``after`` holds the region index after which each stuff bit goes.
+    pieces: List[str] = []
+    after: List[int] = []
+    search = _RUN5.search
+    pos = 0
+    m = search(region)
+    while m is not None:
+        end = m.end()
+        level = _FLIP[region[end - 1]]
+        pieces.append(region[pos:end])
+        pieces.append(level)
+        after.append(end - 1)
+        pos = end
+        # A stuff bit followed by four input bits of its level is itself the
+        # first bit of the next run of five.
+        while region.startswith(level * 4, pos):
+            level = _FLIP[level]
+            pieces.append(region[pos:pos + 4])
+            pieces.append(level)
+            after.append(pos + 3)
+            pos += 4
+        m = search(region, pos)
+    pieces.append(region[pos:])
+    pieces.append(_TAIL)
+    stream = "".join(pieces).translate(_TO_LEVELS).encode("ascii")
+    return WirePlan(stream, crc, len(after), arb + bisect_left(after, arb))
+
+
 def encode_frame(frame: Frame) -> EncodedFrame:
     """Serialize to the full stuffed bitstream.
 
     Stuffing covers SOF through the last CRC bit; the CRC delimiter, ACK slot
     (recessive as transmitted), ACK delimiter and 7-bit EOF follow unstuffed.
     """
-    body = frame_body_bits(frame)
-    crc = crc15(body)
-    region = body + [(crc >> i) & 1 for i in range(14, -1, -1)]
-    stuffed = stuff(region)
-    stuff_count = len(stuffed) - len(region)
-    stream = stuffed + [RECESSIVE] * TAIL_BITS
-    return EncodedFrame(stream, crc, stuff_count)
+    plan = wire_plan(frame)
+    return EncodedFrame(list(plan.stream), plan.crc, plan.stuff_count)
 
 
 def frame_bit_length(frame: Frame, stuffed: bool = False) -> int:
     """Length of the frame on the wire, with or without stuff bits."""
+    if stuffed:
+        return wire_plan(frame).total_len
     header = _EXT_HEADER_BITS if frame.id.extended else _STD_HEADER_BITS
     data = 8 * frame.dlc if frame.kind is FrameKind.DATA else 0
-    if not stuffed:
-        return header + data + CRC_WIDTH + TAIL_BITS
-    return len(encode_frame(frame).stuffed_bits)
+    return header + data + CRC_WIDTH + TAIL_BITS
+
+
+def _levels_to_chars(bits: Sequence[int]) -> str:
+    """``bits`` as a ``'0'/'1'`` string; FormError at the first level that
+    is neither."""
+    try:
+        raw = bytes(bits).translate(_TO_CHARS).decode("ascii")
+        if "x" not in raw:
+            return raw
+    except ValueError:  # a level outside 0..255
+        pass
+    bad = next(i for i, b in enumerate(bits) if b not in (DOMINANT, RECESSIVE))
+    raise FormError(bad, f"invalid bit level {bits[bad]!r}")
+
+
+def _destuff_scan(raw: str) -> Tuple[str, List[int], int]:
+    """Destuff a ``'0'/'1'`` string as far as it goes.
+
+    Returns the destuffed bits, the destuffed index after which each stuff
+    bit was removed, and the raw index of the stuff slot that stopped the
+    scan: a sixth equal level, or ``len(raw)`` when the input ends where a
+    stuff bit is due. That index is -1 when the scan reached the end.
+    """
+    n = len(raw)
+    pieces: List[str] = []
+    after: List[int] = []
+    flat_len = 0
+    pos = 0
+    search = _RUN5.search
+    m = search(raw)
+    while m is not None:
+        slot = m.end()
+        while True:
+            pieces.append(raw[pos:slot])
+            flat_len += slot - pos
+            if slot == n or raw[slot] == raw[slot - 1]:
+                return "".join(pieces), after, slot
+            after.append(flat_len - 1)
+            level = raw[slot]
+            pos = slot + 1
+            # The stuff bit and four more of its level make the next run.
+            if not raw.startswith(level * 4, pos):
+                break
+            slot = pos + 4
+        m = search(raw, pos)
+    pieces.append(raw[pos:])
+    return "".join(pieces), after, -1
 
 
 def decode_frame(bits: Sequence[int]) -> Frame:
     """Exact inverse of :func:`encode_frame`.
 
-    Raises the first failure hit while scanning serially: StuffError,
-    TruncatedError, FormError or CrcError.
+    Every level must be 0 or 1: any other level raises FormError at the
+    first such bit, before any other check. Otherwise raises the first
+    failure hit while scanning serially: StuffError, TruncatedError,
+    FormError or CrcError.
     """
-    n = len(bits)
-    flat: BitStream = []
-    pos = 0
-    run_level = -1
-    run_len = 0
+    raw = _levels_to_chars(bits)
+    n = len(raw)
+    flat, after, stop = _destuff_scan(raw)
 
-    def fill(needed: int) -> None:
-        nonlocal pos, run_level, run_len
-        while len(flat) < needed:
-            if pos >= n:
-                raise TruncatedError(max(n - 1, 0))
-            b = bits[pos]
-            if run_len == 5:
-                if b == run_level:
-                    raise StuffError(pos)
-                run_level = b
-                run_len = 1
-                pos += 1
-                continue
-            flat.append(b)
-            pos += 1
-            if b == run_level:
-                run_len += 1
-            else:
-                run_level = b
-                run_len = 1
-
-    fill(14)  # SOF + 11 id bits + bit12 + IDE
-    if flat[0] != DOMINANT:
-        raise FormError(0, "SOF must be dominant")
-    extended = flat[13] == RECESSIVE
-    header = _EXT_HEADER_BITS if extended else _STD_HEADER_BITS
-    fill(header)
-    if extended:
-        id_value = 0
-        for b in flat[1:12] + flat[14:32]:
-            id_value = (id_value << 1) | b
-        rtr = flat[32]
-        dlc_bits = flat[35:39]
-    else:
-        id_value = 0
-        for b in flat[1:12]:
-            id_value = (id_value << 1) | b
-        rtr = flat[12]
-        dlc_bits = flat[15:19]
-    dlc = (dlc_bits[0] << 3) | (dlc_bits[1] << 2) | (dlc_bits[2] << 1) | dlc_bits[3]
-    if dlc > 8:
-        raise FormError(pos - 1, f"DLC {dlc} exceeds 8")
-
-    data_bits = 8 * dlc if rtr == DOMINANT else 0
-    region_total = header + data_bits + CRC_WIDTH
-    fill(region_total)
-    # A 5-run ending exactly at the last CRC bit is still followed by a stuff bit.
-    if run_len == 5:
-        if pos >= n:
+    def need(count: int) -> None:
+        if len(flat) < count:
+            if 0 <= stop < n:
+                raise StuffError(stop)
             raise TruncatedError(max(n - 1, 0))
-        if bits[pos] == run_level:
-            raise StuffError(pos)
-        pos += 1
 
-    received_crc = 0
-    for b in flat[region_total - CRC_WIDTH:region_total]:
-        received_crc = (received_crc << 1) | b
-    crc_start_raw = pos  # offset reported for CRC mismatch: first tail bit
+    need(14)  # SOF + 11 id bits + bit12 + IDE
+    if flat[0] != "0":
+        raise FormError(0, "SOF must be dominant")
+    extended = flat[13] == "1"
+    header = _EXT_HEADER_BITS if extended else _STD_HEADER_BITS
+    need(header)
+    if extended:
+        id_value = int(flat[1:12] + flat[14:32], 2)
+        rtr = flat[32]
+    else:
+        id_value = int(flat[1:12], 2)
+        rtr = flat[12]
+    dlc = int(flat[header - 4:header], 2)
+    if dlc > 8:
+        raise FormError(header - 1 + bisect_left(after, header - 1),
+                        f"DLC {dlc} exceeds 8")
+
+    data_bits = 8 * dlc if rtr == "0" else 0
+    region_total = header + data_bits + CRC_WIDTH
+    need(region_total)
+    # A 5-run ending exactly at the last CRC bit is still followed by a stuff bit.
+    if len(flat) == region_total and stop >= 0:
+        need(region_total + 1)
+    pos = region_total + bisect_left(after, region_total)  # first tail bit
 
     # Fixed-form tail: CRC delimiter, ACK slot (either level), ACK delimiter, EOF.
     if n - pos < TAIL_BITS:
         raise TruncatedError(max(n - 1, 0))
-    if bits[pos] != RECESSIVE:
+    if raw[pos] != "1":
         raise FormError(pos, "CRC delimiter must be recessive")
-    if bits[pos + 1] not in (DOMINANT, RECESSIVE):
-        raise FormError(pos + 1, "invalid ACK slot level")
-    if bits[pos + 2] != RECESSIVE:
+    if raw[pos + 2] != "1":
         raise FormError(pos + 2, "ACK delimiter must be recessive")
-    for i in range(EOF_BITS):
-        if bits[pos + 3 + i] != RECESSIVE:
-            raise FormError(pos + 3 + i, "EOF must be recessive")
+    eof_rest = raw[pos + 3:pos + TAIL_BITS].lstrip("1")
+    if eof_rest:
+        raise FormError(pos + TAIL_BITS - len(eof_rest), "EOF must be recessive")
     if pos + TAIL_BITS != n:
         raise FormError(pos + TAIL_BITS, "trailing bits after EOF")
 
-    if crc15(flat[:region_total - CRC_WIDTH]) != received_crc:
-        raise CrcError(crc_start_raw - 1, "CRC mismatch")
+    received_crc = int(flat[region_total - CRC_WIDTH:region_total], 2)
+    if _crc15_of(flat[:region_total - CRC_WIDTH]) != received_crc:
+        raise CrcError(pos - 1, "CRC mismatch")
 
     frame_id = FrameId(id_value, extended=extended)
-    if rtr == RECESSIVE:
+    if rtr == "1":
         return Frame(frame_id, FrameKind.REMOTE, dlc, b"")
-    payload = bytearray()
-    data_start = header
-    for i in range(dlc):
-        byte = 0
-        for b in flat[data_start + 8 * i:data_start + 8 * i + 8]:
-            byte = (byte << 1) | b
-        payload.append(byte)
-    return Frame(frame_id, FrameKind.DATA, dlc, bytes(payload))
+    if not dlc:
+        return Frame(frame_id, FrameKind.DATA, 0, b"")
+    payload = int(flat[header:header + data_bits], 2).to_bytes(dlc, "big")
+    return Frame(frame_id, FrameKind.DATA, dlc, payload)
 
 
 def bits_to_string(bits: Sequence[int]) -> str:

@@ -62,6 +62,8 @@ class Frame:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
+        if type(self.payload) is not bytes:  # frames are hashable values
+            object.__setattr__(self, "payload", bytes(self.payload))
         if not 0 <= self.dlc <= MAX_PAYLOAD:
             raise PayloadTooLongError(f"dlc {self.dlc} out of range 0..8")
         if self.kind is FrameKind.DATA and len(self.payload) != self.dlc:

@@ -72,6 +72,10 @@ def _parse_filter(spec: str, line_no: int) -> AcceptanceFilter:
     return AcceptanceFilter(code, mask, extended=extended)
 
 
+_TRUE = ("1", "true", "yes")
+_FALSE = ("0", "false", "no")
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario, reporting the first error with its line number."""
     bitrate: Optional[int] = None
@@ -99,12 +103,20 @@ def parse_scenario(text: str) -> Scenario:
             except ValueError:
                 raise ScenarioSyntaxError(line_no, "bad distance_m") from None
         elif head.startswith("allow_slow="):
-            allow_slow = head.split("=", 1)[1] in ("1", "true", "yes")
+            value = head.split("=", 1)[1]
+            if value in _TRUE:
+                allow_slow = True
+            elif value in _FALSE:
+                allow_slow = False
+            else:
+                raise ScenarioSyntaxError(line_no, f"bad allow_slow {value!r}")
         elif head.startswith("run_bits="):
             try:
                 run_bits = int(head.split("=", 1)[1])
             except ValueError:
                 raise ScenarioSyntaxError(line_no, "bad run_bits") from None
+            if run_bits < 0:
+                raise ScenarioSyntaxError(line_no, "run_bits must be non-negative")
         elif head == "node":
             if len(parts) < 2:
                 raise ScenarioSyntaxError(line_no, "node line needs a name")
@@ -149,8 +161,10 @@ def parse_scenario(text: str) -> Scenario:
 
 def render_scenario(scenario: Scenario) -> str:
     """Canonical text form; parse_scenario(render_scenario(s)) round-trips."""
-    lines = [f"bitrate={scenario.bitrate_bps}",
-             f"distance_m={scenario.distance_m:g}"]
+    distance = scenario.distance_m
+    if distance == int(distance):
+        distance = int(distance)
+    lines = [f"bitrate={scenario.bitrate_bps}", f"distance_m={distance!r}"]
     if scenario.allow_slow:
         lines.append("allow_slow=1")
     if scenario.run_bits is not None:

@@ -3,7 +3,8 @@
 These deliberately use different algorithms than the production code: the CRC
 oracle is polynomial long division over GF(2) on a big integer (the codec uses
 a table-driven shift register), and the arbitration oracle compares drive
-patterns bit by bit.
+patterns bit by bit. The decoder walks the bits one at a time, where the
+codec scans strings.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
-from vcanlab.frame import Frame, FrameKind
+from vcanlab.codec import (CRC_WIDTH, DOMINANT, EOF_BITS, RECESSIVE, TAIL_BITS,
+                           CrcError, FormError, StuffError, TruncatedError,
+                           _EXT_HEADER_BITS, _STD_HEADER_BITS, crc15)
+from vcanlab.frame import Frame, FrameId, FrameKind
 
 # x^15 + x^14 + x^10 + x^8 + x^7 + x^4 + x^3 + 1
 CRC_GENERATOR = 0xC599
@@ -85,3 +89,103 @@ def random_frame(rng: random.Random) -> Frame:
     dlc = rng.randrange(9)
     return data_frame(id_value, bytes(rng.randrange(256) for _ in range(dlc)),
                       extended)
+
+
+def decode_frame_serial(bits: Sequence[int]) -> Frame:
+    """Bit-serial decoder: destuffs one bit at a time and raises the first
+    failure hit, the reference :func:`vcanlab.codec.decode_frame` must match
+    on every input of levels 0 and 1, error offsets included."""
+    n = len(bits)
+    flat: List[int] = []
+    pos = 0
+    run_level = -1
+    run_len = 0
+
+    def fill(needed: int) -> None:
+        nonlocal pos, run_level, run_len
+        while len(flat) < needed:
+            if pos >= n:
+                raise TruncatedError(max(n - 1, 0))
+            b = bits[pos]
+            if run_len == 5:
+                if b == run_level:
+                    raise StuffError(pos)
+                run_level = b
+                run_len = 1
+                pos += 1
+                continue
+            flat.append(b)
+            pos += 1
+            if b == run_level:
+                run_len += 1
+            else:
+                run_level = b
+                run_len = 1
+
+    fill(14)  # SOF + 11 id bits + bit12 + IDE
+    if flat[0] != DOMINANT:
+        raise FormError(0, "SOF must be dominant")
+    extended = flat[13] == RECESSIVE
+    header = _EXT_HEADER_BITS if extended else _STD_HEADER_BITS
+    fill(header)
+    if extended:
+        id_value = 0
+        for b in flat[1:12] + flat[14:32]:
+            id_value = (id_value << 1) | b
+        rtr = flat[32]
+        dlc_bits = flat[35:39]
+    else:
+        id_value = 0
+        for b in flat[1:12]:
+            id_value = (id_value << 1) | b
+        rtr = flat[12]
+        dlc_bits = flat[15:19]
+    dlc = (dlc_bits[0] << 3) | (dlc_bits[1] << 2) | (dlc_bits[2] << 1) | dlc_bits[3]
+    if dlc > 8:
+        raise FormError(pos - 1, f"DLC {dlc} exceeds 8")
+
+    data_bits = 8 * dlc if rtr == DOMINANT else 0
+    region_total = header + data_bits + CRC_WIDTH
+    fill(region_total)
+    # A 5-run ending exactly at the last CRC bit is still followed by a stuff bit.
+    if run_len == 5:
+        if pos >= n:
+            raise TruncatedError(max(n - 1, 0))
+        if bits[pos] == run_level:
+            raise StuffError(pos)
+        pos += 1
+
+    received_crc = 0
+    for b in flat[region_total - CRC_WIDTH:region_total]:
+        received_crc = (received_crc << 1) | b
+    crc_start_raw = pos  # offset reported for CRC mismatch: first tail bit
+
+    # Fixed-form tail: CRC delimiter, ACK slot (either level), ACK delimiter, EOF.
+    if n - pos < TAIL_BITS:
+        raise TruncatedError(max(n - 1, 0))
+    if bits[pos] != RECESSIVE:
+        raise FormError(pos, "CRC delimiter must be recessive")
+    if bits[pos + 1] not in (DOMINANT, RECESSIVE):
+        raise FormError(pos + 1, "invalid ACK slot level")
+    if bits[pos + 2] != RECESSIVE:
+        raise FormError(pos + 2, "ACK delimiter must be recessive")
+    for i in range(EOF_BITS):
+        if bits[pos + 3 + i] != RECESSIVE:
+            raise FormError(pos + 3 + i, "EOF must be recessive")
+    if pos + TAIL_BITS != n:
+        raise FormError(pos + TAIL_BITS, "trailing bits after EOF")
+
+    if crc15(flat[:region_total - CRC_WIDTH]) != received_crc:
+        raise CrcError(crc_start_raw - 1, "CRC mismatch")
+
+    frame_id = FrameId(id_value, extended=extended)
+    if rtr == RECESSIVE:
+        return Frame(frame_id, FrameKind.REMOTE, dlc, b"")
+    payload = bytearray()
+    data_start = header
+    for i in range(dlc):
+        byte = 0
+        for b in flat[data_start + 8 * i:data_start + 8 * i + 8]:
+            byte = (byte << 1) | b
+        payload.append(byte)
+    return Frame(frame_id, FrameKind.DATA, dlc, bytes(payload))

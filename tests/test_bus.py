@@ -7,7 +7,7 @@ from vcanlab.bus import (Bus, BusConfig, DuplicateNameError, EventKind,
                          ScheduleForDetachedNodeError, TooManyNodesError,
                          resolve_bit, validate_bus_config)
 from vcanlab.codec import DOMINANT, RECESSIVE, frame_bit_length
-from vcanlab.frame import data_frame
+from vcanlab.frame import Frame, FrameId, FrameKind, data_frame
 from vcanlab.node import NodeMode
 
 from oracles import arbitration_winner, random_frame
@@ -90,6 +90,16 @@ class TestRun:
         expected = frame_bit_length(frame, stuffed=True) + 3
         assert trace[1].time_bits == expected
         assert trace[1].time_s == pytest.approx(expected / 1_000_000)
+
+    def test_frame_built_with_a_bytearray_payload_is_sent(self):
+        frame = Frame(FrameId(0x123), FrameKind.DATA, 2, bytearray(b"\xab\xcd"))
+        assert frame == data_frame(0x123, b"\xab\xcd")
+        bus = Bus(BusConfig())
+        bus.attach_node("tx")
+        rx = bus.attach_node("rx")
+        trace = bus.run([ScheduleEntry(0, "tx", frame)], 5_000)
+        assert kinds(trace) == [EventKind.TX_START, EventKind.FRAME_DELIVERED]
+        assert rx.received == [data_frame(0x123, b"\xab\xcd")]
 
     def test_arbitration_example(self):
         bus = Bus(BusConfig())
@@ -206,6 +216,21 @@ class TestFaultInjection:
         bus.inject_fault(50, DOMINANT)
         trace = bus.run([], 200)
         assert kinds(trace) == [EventKind.FAULT_INJECTED]
+
+    def test_fault_level_must_be_a_bus_level(self):
+        bus = Bus(BusConfig())
+        for level in (2, -1):
+            with pytest.raises(ValueError):
+                bus.inject_fault(10, level)
+        bus.inject_fault(10, RECESSIVE)
+        assert bus._faults == {10: RECESSIVE}
+
+    def test_fault_bit_must_be_non_negative(self):
+        bus = Bus(BusConfig())
+        with pytest.raises(ValueError):
+            bus.inject_fault(-1, DOMINANT)
+        bus.inject_fault(0, DOMINANT)
+        assert bus._faults == {0: DOMINANT}
 
     def test_sixteen_corrupted_attempts_reach_error_passive(self):
         frame = data_frame(0x123, bytes(range(8)))

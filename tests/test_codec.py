@@ -11,7 +11,7 @@ from vcanlab.codec import (CrcError, DecodeError, FormError, StuffError,
                            stuff)
 from vcanlab.frame import data_frame, remote_frame
 
-from oracles import crc15_oracle, longest_run, random_frame
+from oracles import crc15_oracle, decode_frame_serial, longest_run, random_frame
 
 bit_streams = st.lists(st.integers(0, 1), max_size=300)
 
@@ -165,6 +165,93 @@ class TestEncodeDecode:
     def test_roundtrip_property_standard(self, id_value, payload):
         f = data_frame(id_value, payload)
         assert decode_frame(encode_frame(f).stuffed_bits) == f
+
+
+def decode_outcome(decode, bits):
+    try:
+        return decode(bits)
+    except DecodeError as exc:
+        return type(exc), exc.offset, str(exc)
+
+
+RUN_BYTES = [0x00, 0xFF, 0xF8, 0x7C, 0x1F]
+
+
+@st.composite
+def damaged_streams(draw):
+    """Encoded frames with flipped, dropped, inserted or cut bits, frames
+    full of equal runs, and plain random bits."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        frame = random_frame(rng)
+    else:
+        payload = bytes(draw(st.lists(st.sampled_from(RUN_BYTES), max_size=8)))
+        frame = data_frame(draw(st.sampled_from([0x000, 0x7FF, 0x7C1, 0x3E0])),
+                           payload, draw(st.booleans()))
+    bits = encode_frame(frame).stuffed_bits
+    edit = draw(st.sampled_from(["none", "flip", "cut", "extend", "drop", "insert",
+                                 "random", "ack"]))
+    if edit == "flip":
+        for i in draw(st.lists(st.integers(0, len(bits) - 1), min_size=1, max_size=3)):
+            bits[i] ^= 1
+    elif edit == "cut":
+        bits = bits[:draw(st.integers(0, len(bits)))]
+    elif edit == "extend":
+        bits += draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    elif edit == "drop":
+        del bits[draw(st.integers(0, len(bits) - 1))]
+    elif edit == "insert":
+        bits.insert(draw(st.integers(0, len(bits))), draw(st.integers(0, 1)))
+    elif edit == "random":
+        bits = draw(st.lists(st.integers(0, 1), max_size=140))
+    elif edit == "ack":
+        bits[len(bits) - 9] = draw(st.integers(0, 1))
+    return bits
+
+
+class TestDecodeMatchesSerialReference:
+    @settings(max_examples=500)
+    @given(damaged_streams())
+    def test_same_frame_or_same_error(self, bits):
+        assert decode_outcome(decode_frame, bits) == \
+            decode_outcome(decode_frame_serial, bits)
+
+    def test_seeded_damage(self):
+        rng = random.Random(53)
+        for _ in range(3000):
+            bits = encode_frame(random_frame(rng)).stuffed_bits
+            for _ in range(rng.randrange(3)):
+                bits[rng.randrange(len(bits))] ^= 1
+            if rng.random() < 0.3:
+                bits = bits[:rng.randrange(len(bits) + 1)]
+            assert decode_outcome(decode_frame, bits) == \
+                decode_outcome(decode_frame_serial, bits)
+
+    def test_dlc_above_8_offset(self):
+        body = [0] + [0] * 11 + [0, 0, 0] + [1, 0, 0, 1]  # standard id 0, DLC 9
+        crc = crc15(body)
+        bits = stuff(body + [(crc >> i) & 1 for i in range(14, -1, -1)]) + [1] * 10
+        with pytest.raises(FormError) as exc:
+            decode_frame(bits)
+        assert decode_outcome(decode_frame, bits) == \
+            decode_outcome(decode_frame_serial, bits)
+        assert "DLC 9" in str(exc.value)
+
+    @pytest.mark.parametrize("level", [-1, 2, 7, 255, 256])
+    def test_invalid_level_is_a_form_error_at_its_bit(self, level):
+        bits = encode_frame(data_frame(0x123, b"\xab\xcd")).stuffed_bits
+        for at in (0, 5, 20, len(bits) - 9):  # len(bits) - 9 is the ACK slot
+            bad = list(bits)
+            bad[at] = level
+            bad[-1] = 9  # a later invalid level is not the one reported
+            with pytest.raises(FormError) as exc:
+                decode_frame(bad)
+            assert exc.value.offset == at
+        # reported ahead of the stuff error at bit 5
+        bad = [0] * 7 + [level]
+        with pytest.raises(FormError) as exc:
+            decode_frame(bad)
+        assert exc.value.offset == 7
 
 
 class TestTextForms:

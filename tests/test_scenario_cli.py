@@ -2,13 +2,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, reject, strategies as st
 
 from vcanlab.bus import (Bus, BusConfig, ConfigError, EventKind,
                          RateDistanceError, RateRangeError, ScheduleEntry,
-                         TraceEvent)
+                         TraceEvent, validate_bus_config)
 from vcanlab.cli import main
 from vcanlab.frame import data_frame
-from vcanlab.scenario import (ScenarioSyntaxError, UnknownNodeError,
+from vcanlab.scenario import (Scenario, ScenarioSyntaxError, UnknownNodeError,
                               format_trace_event, parse_scenario,
                               render_scenario)
 
@@ -63,6 +64,43 @@ class TestParseScenario:
         canonical = render_scenario(sc)
         assert render_scenario(parse_scenario(canonical)) == canonical
 
+    def test_render_keeps_distance_exact(self):
+        sc = parse_scenario(GOOD.replace("distance_m=40", "distance_m=40.123456"))
+        assert "distance_m=40.123456\n" in render_scenario(sc)
+        assert parse_scenario(render_scenario(sc)) == sc
+        assert "distance_m=40\n" in render_scenario(parse_scenario(GOOD))
+
+    @given(st.integers(1, 1_000_000), st.floats(min_value=0, max_value=10_000),
+           st.booleans())
+    def test_render_parse_roundtrip_any_valid_distance(self, bitrate, distance,
+                                                       allow_slow):
+        try:
+            validate_bus_config(bitrate, distance, allow_slow)
+        except ConfigError:
+            reject()
+        sc = Scenario(bitrate, distance, [("a", None)],
+                      [ScheduleEntry(0, "a", data_frame(0x123, b"\xab"))],
+                      allow_slow)
+        assert parse_scenario(render_scenario(sc)) == sc
+
+    def test_nan_distance_rejected(self):
+        with pytest.raises(RateRangeError):
+            parse_scenario(GOOD.replace("distance_m=40", "distance_m=nan"))
+
+    def test_negative_run_bits_rejected(self):
+        with pytest.raises(ScenarioSyntaxError) as exc:
+            parse_scenario("run_bits=-5\n" + GOOD)
+        assert exc.value.line_no == 1
+        assert parse_scenario("run_bits=0\n" + GOOD).run_bits == 0
+
+    def test_allow_slow_values(self):
+        for value, expected in (("1", True), ("true", True), ("yes", True),
+                                ("0", False), ("false", False), ("no", False)):
+            assert parse_scenario(f"allow_slow={value}\n" + GOOD).allow_slow is expected
+        with pytest.raises(ScenarioSyntaxError) as exc:
+            parse_scenario("allow_slow=maybe\n" + GOOD)
+        assert exc.value.line_no == 1
+
 
 class TestTraceFormat:
     def test_frame_delivered_line(self):
@@ -111,6 +149,12 @@ class TestCliExitCodes:
         assert main(["simulate", str(path)]) == 2
         path.write_text(GOOD.replace("bitrate=1000000", "bitrate=2000000"))
         assert main(["simulate", str(path)]) == 2
+
+    def test_simulate_rejects_bad_scenario_values(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        for header in ("run_bits=-5", "allow_slow=maybe"):
+            path.write_text(f"{header}\n{GOOD}")
+            assert main(["simulate", str(path)]) == 2
 
     def test_simulate_missing_file(self):
         assert main(["simulate", "/nonexistent/scenario"]) == 2
