@@ -21,7 +21,7 @@ from .sensornet import (DEFAULT_SETPOINTS_C, ExperimentRow, OutOfRangeError,
                         run_table_experiment, sample_reading,
                         setpoint_from_switches)
 from .gateway import (GatewaySession, ParseReason, SerialParseError,
-                      format_serial_line, gateway_pump, parse_serial_line)
+                      format_serial_line, parse_serial_line)
 from .scenario import (Scenario, ScenarioSyntaxError, UnknownNodeError,
                        format_trace_event, parse_scenario, render_scenario)
 

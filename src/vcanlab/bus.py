@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import codec
 from .codec import DOMINANT, RECESSIVE
 from .frame import Frame
 from .node import (AcceptanceFilter, BusOffError, CounterEvent, Node, NodeMode,
-                   NodeState, QueuedFrame, RECOVERY_GROUP_BITS, RECOVERY_GROUPS,
+                   QueuedFrame, RECOVERY_GROUP_BITS, observe_recovery,
                    update_counters)
 
 MIN_BITRATE_BPS = 20_000
@@ -76,8 +77,6 @@ def validate_bus_config(bitrate_bps: int, distance_m: float,
 class BusConfig:
     bitrate_bps: int = MAX_BITRATE_BPS
     distance_m: float = 40.0
-    max_nodes: int = MAX_NODES
-    intermission_bits: int = INTERMISSION_BITS
     allow_slow: bool = False
 
     def __post_init__(self) -> None:
@@ -121,10 +120,7 @@ Schedule = Sequence[ScheduleEntry]
 
 def resolve_bit(driven_levels: Sequence[int]) -> int:
     """Wired-AND: dominant wins; an undriven bus idles recessive."""
-    for level in driven_levels:
-        if level == DOMINANT:
-            return DOMINANT
-    return RECESSIVE
+    return DOMINANT if DOMINANT in driven_levels else RECESSIVE
 
 
 class _Transmitter:
@@ -140,15 +136,6 @@ class _Transmitter:
                 plan = plans[entry.frame] = codec.wire_plan(entry.frame)
             entry.enc = plan
         self.plan = entry.enc
-
-
-class _TxContext:
-    __slots__ = ("start", "k", "active")
-
-    def __init__(self, start: int, active: List[_Transmitter]):
-        self.start = start
-        self.k = 0
-        self.active = active
 
 
 class Bus:
@@ -167,7 +154,11 @@ class Bus:
         self._pending_seq = 0
         self._t = 0
         self._interm = 0
-        self._ctx: Optional[_TxContext] = None
+        # The slot in progress: first bit, index of the bit being sent, and
+        # the transmitters still on the wire (empty when the bus is idle).
+        self._start = 0
+        self._k = 0
+        self._active: List[_Transmitter] = []
         self._events: List[TraceEvent] = []
         self._bus_off: Set[Node] = set()
         # Wire plans by frame: each distinct frame sent is laid out once.
@@ -185,13 +176,12 @@ class Bus:
 
     def attach_node(self, name: str,
                     accept_filter: Optional[AcceptanceFilter] = None) -> Node:
-        if self._t > 0 or self._ctx is not None:
+        if self._t > 0:
             raise RuntimeError("cannot attach nodes to a running bus")
         if name in self.nodes:
             raise DuplicateNameError(f"node {name!r} already attached")
-        if len(self.nodes) >= self.config.max_nodes:
-            raise TooManyNodesError(
-                f"bus already carries {self.config.max_nodes} nodes")
+        if len(self.nodes) >= MAX_NODES:
+            raise TooManyNodesError(f"bus already carries {MAX_NODES} nodes")
         node = Node(name, accept_filter)
         self.nodes[name] = node
         self._order.append(node)
@@ -244,25 +234,15 @@ class Bus:
             node.partial_recessive += 1
             if node.partial_recessive == RECOVERY_GROUP_BITS:
                 node.partial_recessive = 0
-                groups = node.state.recessive_run_groups + 1
-                if groups >= RECOVERY_GROUPS:
-                    node.state = NodeState()
+                node.state = observe_recovery(node.state, RECOVERY_GROUP_BITS)
+                if node.state.mode is not NodeMode.BUS_OFF:
                     self._bus_off.discard(node)
                     self._emit(EventKind.BUS_OFF_RECOVERED, node.name, None, t)
-                else:
-                    node.state = NodeState(node.state.tec, node.state.rec,
-                                           NodeMode.BUS_OFF, groups)
 
-    def _any_bus_off(self) -> bool:
-        return bool(self._bus_off)
-
-    def _fault_in_range(self, lo: int, hi: int) -> bool:
-        i = bisect.bisect_left(self._fault_bits, lo)
-        return i < len(self._fault_bits) and self._fault_bits[i] < hi
-
-    def _next_fault_at_or_after(self, t: int) -> Optional[int]:
+    def _next_fault(self, t: int) -> float:
+        """The first fault bit at or after ``t``, or ``math.inf``."""
         i = bisect.bisect_left(self._fault_bits, t)
-        return self._fault_bits[i] if i < len(self._fault_bits) else None
+        return self._fault_bits[i] if i < len(self._fault_bits) else math.inf
 
     # -- simulation ------------------------------------------------------
 
@@ -300,95 +280,78 @@ class Bus:
     def _step(self, until_bits: int) -> None:
         t = self._t
         self._pop_arrivals()
-
-        if self._ctx is None:
-            if self._interm > 0:
-                resolved = self._resolved_idle(t)
-                self._recovery_tick(resolved, t)
-                self._interm -= 1
-                self._t = t + 1
-                return
+        if self._active:
+            return self._tx_bit(t, until_bits)
+        if not self._interm:
             starters = [n for n in self._order
                         if n.queue and n.state.mode is not NodeMode.BUS_OFF]
             if starters:
-                active = []
                 for n in starters:
                     entry = n.queue[0]
                     kind = EventKind.RETRANSMIT if entry.attempted else EventKind.TX_START
                     entry.attempted = True
                     self._emit(kind, n.name, entry.frame, t)
-                    active.append(_Transmitter(n, entry, self._plans))
-                self._ctx = _TxContext(t, active)
-                self._tx_bit(t, until_bits)
-                return
-            # idle
-            resolved = self._resolved_idle(t)
-            self._recovery_tick(resolved, t)
-            if (self._SKIP and not self._any_bus_off() and t not in self._faults
-                    and not any(n.queue for n in self._order)):
-                nxt = until_bits
-                if self._pending:
-                    nxt = min(nxt, self._pending[0][0])
-                f = self._next_fault_at_or_after(t + 1)
-                if f is not None:
-                    nxt = min(nxt, f)
-                self._t = max(t + 1, nxt)
-            else:
-                self._t = t + 1
-            return
+                    self._active.append(_Transmitter(n, entry, self._plans))
+                self._start, self._k = t, 0
+                return self._tx_bit(t, until_bits)
 
-        self._tx_bit(t, until_bits)
-
-    def _resolved_idle(self, t: int) -> int:
+        # Intermission or idle: only a fault drives the bus. Idle with no node
+        # bus-off before this bit's recovery credit means every queue is empty,
+        # so the bus may jump to the next arrival, fault or horizon.
+        skip = self._SKIP and not self._interm and not self._bus_off
+        resolved = self._faults.get(t, RECESSIVE)
         if t in self._faults:
             self._emit(EventKind.FAULT_INJECTED, None, None, t)
-            return self._faults[t]
-        return RECESSIVE
+        self._recovery_tick(resolved, t)
+        if self._interm:
+            self._interm -= 1
+        if skip:
+            nxt = min(until_bits, self._next_fault(t + 1))
+            if self._pending:
+                nxt = min(nxt, self._pending[0][0])
+            self._t = max(t + 1, nxt)
+        else:
+            self._t = t + 1
+
+    def _end_slot(self, t: int) -> None:
+        self._active = []
+        self._interm = INTERMISSION_BITS
+        self._t = t + 1
 
     def _tx_bit(self, t: int, until_bits: int) -> None:
-        ctx = self._ctx
-        assert ctx is not None
+        active = self._active
+        k = self._k
         # Skip ahead through uncontested, unobservable stretches of the frame,
         # up to the ACK slot or the last EOF bit and never to the horizon.
-        if self._SKIP and len(ctx.active) == 1 and not self._any_bus_off():
-            plan = ctx.active[0].plan
-            end = ctx.start + plan.total_len
-            if not self._fault_in_range(t, end):
-                target = plan.ack_idx if ctx.k <= plan.ack_idx else plan.total_len - 1
-                target = min(target, ctx.k + until_bits - 1 - t)
-                if target > ctx.k:
-                    t += target - ctx.k
-                    ctx.k = target
+        if self._SKIP and len(active) == 1 and not self._bus_off:
+            plan = active[0].plan
+            if self._next_fault(t) >= self._start + plan.total_len:
+                target = plan.ack_idx if k <= plan.ack_idx else plan.total_len - 1
+                target = min(target, k + until_bits - 1 - t)
+                if target > k:
+                    t += target - k
+                    k = self._k = target
                     self._t = t
                     self._pop_arrivals()
 
-        k = ctx.k
-        resolved_nat = RECESSIVE
-        for tr in ctx.active:
-            if tr.plan.stream[k] == DOMINANT:
-                resolved_nat = DOMINANT
-                break
-
-        sole = ctx.active[0] if len(ctx.active) == 1 else None
+        driven = [tr.plan.stream[k] for tr in active]
+        sole = active[0] if len(active) == 1 else None
         ack_bit = sole is not None and k == sole.plan.ack_idx
-        if ack_bit:
-            for n in self._order:
-                if n is not sole.node and n.state.mode is NodeMode.ERROR_ACTIVE:
-                    resolved_nat = DOMINANT
-                    break
+        # Every other error-active node acknowledges in the ACK slot.
+        if ack_bit and any(n is not sole.node and n.state.mode is NodeMode.ERROR_ACTIVE
+                           for n in self._order):
+            driven.append(DOMINANT)
+        resolved = resolve_bit(driven)
 
         fault = self._faults.get(t)
-        if fault is None:
-            resolved = resolved_nat
-        else:
+        if fault is not None:
             self._emit(EventKind.FAULT_INJECTED, None, None, t)
             resolved = fault
 
         error = False
         still: List[_Transmitter] = []
-        for tr in ctx.active:
-            bit = tr.plan.stream[k]
-            if bit == resolved or (ack_bit and tr is sole):
+        for tr in active:
+            if tr.plan.stream[k] == resolved or (ack_bit and tr is sole):
                 still.append(tr)
                 continue
             if k <= tr.plan.arb_end and fault is None:
@@ -397,7 +360,7 @@ class Bus:
                 self._emit(EventKind.ERROR_FRAME, tr.node.name, tr.entry.frame, t)
                 error = True
 
-        if ack_bit and not error and resolved == RECESSIVE and sole in still:
+        if ack_bit and resolved == RECESSIVE:
             self._emit(EventKind.ACK_ERROR, sole.node.name, sole.entry.frame, t)
             error = True
 
@@ -406,30 +369,24 @@ class Bus:
             # before the error is booked, so a fresh bus-off node starts its
             # 128x11 recessive count on the following bit.
             self._recovery_tick(resolved, t)
-            tx_nodes = {tr.node for tr in ctx.active}
-            for tr in ctx.active:
+            tx_nodes = {tr.node for tr in active}
+            for tr in active:
                 self._apply_counter(tr.node, CounterEvent.TX_ERROR, t)
             for n in self._order:
                 if n not in tx_nodes and n.state.mode is not NodeMode.BUS_OFF:
                     self._apply_counter(n, CounterEvent.RX_ERROR, t)
-            self._ctx = None
-            self._interm = self.config.intermission_bits
-            self._t = t + 1
-            return
+            return self._end_slot(t)
 
-        ctx.active = still
         if not still:
             # A fault displaced every transmitter inside the arbitration field;
             # treat like an aborted slot and let everyone retry.
-            self._ctx = None
-            self._interm = self.config.intermission_bits
             self._recovery_tick(resolved, t)
-            self._t = t + 1
-            return
+            return self._end_slot(t)
 
-        done = all(k == tr.plan.total_len - 1 for tr in still)
-        if done:
-            deliver_t = ctx.start + still[0].plan.total_len + self.config.intermission_bits
+        self._active = still
+        # Survivors sent identical bits, so their frames have one length.
+        if k == still[0].plan.total_len - 1:
+            deliver_t = self._start + still[0].plan.total_len + INTERMISSION_BITS
             tx_nodes = {tr.node for tr in still}
             for tr in still:
                 tr.node.queue.remove(tr.entry)
@@ -448,14 +405,11 @@ class Bus:
             for tr in still:
                 self._emit(EventKind.FRAME_DELIVERED, tr.node.name, tr.entry.frame,
                            deliver_t)
-            self._ctx = None
-            self._interm = self.config.intermission_bits
             self._recovery_tick(resolved, t)
-            self._t = t + 1
-            return
+            return self._end_slot(t)
 
         self._recovery_tick(resolved, t)
-        ctx.k = k + 1
+        self._k = k + 1
         self._t = t + 1
 
     # -- convenience -----------------------------------------------------

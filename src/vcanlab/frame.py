@@ -7,7 +7,7 @@ Frames are plain immutable values; the wire representation lives in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_STANDARD_ID = (1 << 11) - 1
 MAX_EXTENDED_ID = (1 << 29) - 1

@@ -8,10 +8,8 @@ feed bytes in, drain bytes out between simulation steps.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
-from .frame import (Frame, FrameId, FrameKind, IdOutOfRangeError,
-                    MAX_EXTENDED_ID, MAX_STANDARD_ID)
+from .frame import Frame, FrameId, FrameKind, MAX_EXTENDED_ID, MAX_STANDARD_ID
 from .node import BusOffError, Node
 
 CR = b"\r"
@@ -152,7 +150,3 @@ class GatewaySession:
             self.frames_out += 1
             self._rx_cursor += 1
         return bytes(out)
-
-
-def gateway_pump(session: GatewaySession, incoming: bytes = b"") -> bytes:
-    return session.pump(incoming)

@@ -133,12 +133,11 @@ _seq = itertools.count()
 class QueuedFrame:
     """Transmit-queue entry; orders by arbitration priority, then submit order."""
 
-    __slots__ = ("frame", "key", "seq", "attempted", "enc")
+    __slots__ = ("frame", "key", "attempted", "enc")
 
     def __init__(self, frame: Frame):
         self.frame = frame
         self.key = (arbitration_key(frame), next(_seq))
-        self.seq = self.key[1]
         self.attempted = False
         self.enc = None  # lazily built transmission plan (set by the bus)
 

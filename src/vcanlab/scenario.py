@@ -14,7 +14,7 @@ Frames use the serial-line grammar (without the CR).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import codec
@@ -68,12 +68,17 @@ def _parse_filter(spec: str, line_no: int) -> AcceptanceFilter:
         code, mask = int(code_s, 16), int(mask_s, 16)
     except ValueError:
         raise ScenarioSyntaxError(line_no, f"bad filter hex {spec!r}") from None
-    extended = max(code, mask) > 0x7FF
-    return AcceptanceFilter(code, mask, extended=extended)
+    # Eight hex digits mark an extended filter, as in the serial grammar.
+    extended = 8 in (len(code_s), len(mask_s)) or max(code, mask) > 0x7FF
+    try:
+        return AcceptanceFilter(code, mask, extended=extended)
+    except ValueError as exc:
+        raise ScenarioSyntaxError(line_no, str(exc)) from None
 
 
 _TRUE = ("1", "true", "yes")
 _FALSE = ("0", "false", "no")
+_HEADER_KEYS = ("bitrate", "distance_m", "allow_slow", "run_bits")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -84,6 +89,7 @@ def parse_scenario(text: str) -> Scenario:
     run_bits: Optional[int] = None
     nodes: List[Tuple[str, Optional[AcceptanceFilter]]] = []
     names = set()
+    seen_headers = set()
     schedule: List[ScheduleEntry] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -92,18 +98,22 @@ def parse_scenario(text: str) -> Scenario:
             continue
         parts = line.split()
         head = parts[0]
+        key, eq, value = head.partition("=")
+        if eq and key in _HEADER_KEYS:
+            if key in seen_headers:
+                raise ScenarioSyntaxError(line_no, f"{key}= given twice")
+            seen_headers.add(key)
         if head.startswith("bitrate="):
             try:
-                bitrate = int(head.split("=", 1)[1])
+                bitrate = int(value)
             except ValueError:
                 raise ScenarioSyntaxError(line_no, "bad bitrate") from None
         elif head.startswith("distance_m="):
             try:
-                distance = float(head.split("=", 1)[1])
+                distance = float(value)
             except ValueError:
                 raise ScenarioSyntaxError(line_no, "bad distance_m") from None
         elif head.startswith("allow_slow="):
-            value = head.split("=", 1)[1]
             if value in _TRUE:
                 allow_slow = True
             elif value in _FALSE:
@@ -112,7 +122,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioSyntaxError(line_no, f"bad allow_slow {value!r}")
         elif head.startswith("run_bits="):
             try:
-                run_bits = int(head.split("=", 1)[1])
+                run_bits = int(value)
             except ValueError:
                 raise ScenarioSyntaxError(line_no, "bad run_bits") from None
             if run_bits < 0:
@@ -172,6 +182,8 @@ def render_scenario(scenario: Scenario) -> str:
     for name, filt in scenario.nodes:
         if filt is None:
             lines.append(f"node {name}")
+        elif filt.extended:
+            lines.append(f"node {name} filter={filt.code:08X}/{filt.mask:08X}")
         else:
             lines.append(f"node {name} filter={filt.code:X}/{filt.mask:X}")
     for e in scenario.schedule:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .bus import Bus, BusConfig, ScheduleEntry
@@ -21,6 +21,9 @@ ADC_MAX = (1 << ADC_BITS) - 1
 # Default switch-selected set-points, degrees C; states 8..15 repeat 0..7.
 DEFAULT_SETPOINTS_C = (20.00, 22.50, 23.00, 25.30, 30.00, 16.00, 19.50, 22.00)
 DEFAULT_SETPOINT_TABLE = DEFAULT_SETPOINTS_C * 2
+
+# Channel n reports as standard id READING_BASE_ID + n.
+READING_BASE_ID = 0x100
 
 
 class OutOfRangeError(ValueError):
@@ -34,24 +37,13 @@ def _round_half_up(x: float) -> int:
 @dataclass(frozen=True)
 class SensorConfig:
     node_name: str = "sensor0"
-    base_id: FrameId = field(default_factory=lambda: FrameId.standard(0x100))
-    adc_bits: int = ADC_BITS
     range_min_c: float = 0.0
     range_max_c: float = 40.0
-    sample_period_us: int = 1000
-    switch_state: int = 0
-    setpoint_table: Tuple[float, ...] = DEFAULT_SETPOINT_TABLE
     channel: int = 0
 
     def __post_init__(self) -> None:
-        if self.adc_bits != ADC_BITS:
-            raise ValueError("only a 10-bit converter is modeled")
         if not self.range_min_c < self.range_max_c:
             raise ValueError("range_min_c must be below range_max_c")
-        if not 0 <= self.switch_state < 16:
-            raise ValueError("switch_state must be 0..15")
-        if len(self.setpoint_table) != 16:
-            raise ValueError("setpoint_table must be total over 16 switch states")
 
     @property
     def span_c(self) -> float:
@@ -59,7 +51,7 @@ class SensorConfig:
 
     @property
     def frame_id(self) -> FrameId:
-        return FrameId.standard(self.base_id.value + self.channel)
+        return FrameId.standard(READING_BASE_ID + self.channel)
 
 
 @dataclass(frozen=True)

@@ -144,3 +144,18 @@ def test_forced_bus_off_recovers_with_skips_on():
     assert [(e.kind, e.node, e.time_bits) for e in trace] == [
         (EventKind.BUS_OFF_RECOVERED, "ghost", recovery_bits - 1)]
     assert ghost.state == NodeState()
+
+
+@pytest.mark.parametrize("skip", [True, False])
+def test_recovered_node_resends_its_queued_frame(monkeypatch, skip):
+    # A lone sender goes bus-off with its frame still queued. The bit it
+    # recovers on must not start an idle skip: it retransmits at the next bit.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus = Bus(BusConfig())
+    solo = bus.attach_node("solo")
+    trace = bus.run([ScheduleEntry(0, "solo", data_frame(0x100, bytes(8)))], 12_000)
+    assert solo.queue
+    recovered = [e.time_bits for e in trace if e.kind is EventKind.BUS_OFF_RECOVERED]
+    assert recovered[0] == 5180
+    nxt = next(e for e in trace if e.time_bits > 5180)
+    assert (nxt.kind, nxt.time_bits) == (EventKind.RETRANSMIT, 5181)

@@ -6,7 +6,7 @@ from vcanlab.bus import Bus, BusConfig, ScheduleEntry
 from vcanlab.frame import FrameKind, data_frame, remote_frame
 from vcanlab.gateway import (BEL, CR, GatewaySession, ParseReason,
                              SerialParseError, format_serial_line,
-                             gateway_pump, parse_serial_line)
+                             parse_serial_line)
 from vcanlab.node import NodeMode, NodeState
 from vcanlab.sensornet import SensorConfig, SensorReading, build_reading_frame
 
@@ -126,7 +126,7 @@ class TestSession:
         out = bytearray()
         out += session.pump(b"t1230\rjunk\rt7FF181\r")
         bus.run([], 2_000)
-        out += gateway_pump(session)
+        out += session.pump()
         # outgoing bytes decompose into CR/BEL responses and whole lines
         i = 0
         pieces = []

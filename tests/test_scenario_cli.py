@@ -9,6 +9,7 @@ from vcanlab.bus import (Bus, BusConfig, ConfigError, EventKind,
                          TraceEvent, validate_bus_config)
 from vcanlab.cli import main
 from vcanlab.frame import data_frame
+from vcanlab.node import AcceptanceFilter
 from vcanlab.scenario import (Scenario, ScenarioSyntaxError, UnknownNodeError,
                               format_trace_event, parse_scenario,
                               render_scenario)
@@ -20,6 +21,14 @@ node a
 node b
 0 a t1232ABCD
 """
+
+
+@st.composite
+def filters(draw):
+    extended = draw(st.booleans())
+    top = (1 << (29 if extended else 11)) - 1
+    return AcceptanceFilter(draw(st.integers(0, top)), draw(st.integers(0, top)),
+                            extended)
 
 
 class TestParseScenario:
@@ -82,6 +91,28 @@ class TestParseScenario:
                       [ScheduleEntry(0, "a", data_frame(0x123, b"\xab"))],
                       allow_slow)
         assert parse_scenario(render_scenario(sc)) == sc
+
+    @given(st.lists(st.none() | filters(), min_size=1, max_size=3))
+    def test_render_parse_roundtrip_any_filter(self, filts):
+        sc = Scenario(1_000_000, 40.0, [(f"n{i}", f) for i, f in enumerate(filts)],
+                      [])
+        assert parse_scenario(render_scenario(sc)) == sc
+
+    def test_filter_too_wide_rejected(self):
+        with pytest.raises(ScenarioSyntaxError) as exc:
+            parse_scenario(GOOD.replace("node b", "node b filter=20000000/0"))
+        assert exc.value.line_no == 4
+
+    @pytest.mark.parametrize("header", ["bitrate=1000000", "distance_m=40",
+                                        "allow_slow=0", "run_bits=100"])
+    def test_repeated_header_rejected(self, header, tmp_path):
+        text = f"{header}\n{header}\n{GOOD}"
+        with pytest.raises(ScenarioSyntaxError) as exc:
+            parse_scenario(text)
+        assert exc.value.line_no == 2
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        assert main(["simulate", str(path)]) == 2
 
     def test_nan_distance_rejected(self):
         with pytest.raises(RateRangeError):
