@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import bisect
 import enum
+import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import codec
 from .codec import DOMINANT, RECESSIVE
-from .frame import Frame
+from .frame import Frame, FrameId
 from .node import (AcceptanceFilter, BusOffError, CounterEvent, Node, NodeMode,
                    QueuedFrame, RECOVERY_GROUP_BITS, observe_recovery,
                    update_counters)
@@ -95,8 +97,7 @@ class EventKind(enum.Enum):
     FAULT_INJECTED = "FaultInjected"
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time_bits: int
     time_s: float
     node: Optional[str]
@@ -116,6 +117,10 @@ class ScheduleEntry:
 
 
 Schedule = Sequence[ScheduleEntry]
+
+# TraceEvent's generated __new__ is a Python function; Bus._emit passes all
+# five fields and builds its events with the tuple constructor directly.
+_new_event = tuple.__new__
 
 
 def resolve_bit(driven_levels: Sequence[int]) -> int:
@@ -150,7 +155,7 @@ class Bus:
         self._order: List[Node] = []
         self._faults: Dict[int, int] = {}
         self._fault_bits: List[int] = []
-        self._pending: List[Tuple[int, int, Node, Frame]] = []
+        self._pending: Deque[Tuple[int, int, Node, Frame]] = deque()
         self._pending_seq = 0
         self._t = 0
         self._interm = 0
@@ -163,6 +168,11 @@ class Bus:
         self._bus_off: Set[Node] = set()
         # Wire plans by frame: each distinct frame sent is laid out once.
         self._plans: Dict[Frame, codec.WirePlan] = {}
+        # Accepting nodes by frame id, in attach order, built on the id's
+        # first delivery in a run() call.
+        self._receivers: Dict[FrameId, List[Node]] = {}
+        # Each node's last transmitter.
+        self._tx_of: Dict[Node, _Transmitter] = {}
         # Events at the same bit time share one time_s float.
         self._emit_bits = -1
         self._emit_s = 0.0
@@ -209,7 +219,8 @@ class Bus:
         if time_bits != self._emit_bits:
             self._emit_bits = time_bits
             self._emit_s = time_bits / self.config.bitrate_bps
-        self._events.append(TraceEvent(time_bits, self._emit_s, node, kind, frame))
+        self._events.append(_new_event(
+            TraceEvent, (time_bits, self._emit_s, node, kind, frame)))
 
     def _apply_counter(self, node: Node, event: CounterEvent, t: int) -> None:
         old = node.state
@@ -239,6 +250,12 @@ class Bus:
                     self._bus_off.discard(node)
                     self._emit(EventKind.BUS_OFF_RECOVERED, node.name, None, t)
 
+    def _acked(self, sender: Node) -> bool:
+        """Whether another error-active node will drive ``sender``'s ACK slot
+        dominant."""
+        return any(n is not sender and n.state.mode is NodeMode.ERROR_ACTIVE
+                   for n in self._order)
+
     def _next_fault(self, t: int) -> float:
         """The first fault bit at or after ``t``, or ``math.inf``."""
         i = bisect.bisect_left(self._fault_bits, t)
@@ -253,17 +270,22 @@ class Bus:
         continue from where the previous one stopped. No bit at or past
         ``until_bits`` is simulated, so the bus then stands at ``until_bits``.
         """
+        items = []
         for entry in schedule:
             if entry.node not in self.nodes:
                 raise ScheduleForDetachedNodeError(
                     f"schedule references unattached node {entry.node!r}")
             self._pending_seq += 1
-            item = (self.arrival_bit(entry.time_us), self._pending_seq,
-                    self.nodes[entry.node], entry.frame)
-            bisect.insort(self._pending, item)
+            items.append((self.arrival_bit(entry.time_us), self._pending_seq,
+                          self.nodes[entry.node], entry.frame))
+        if items:
+            # Sequence numbers are unique, so ties never compare nodes.
+            items.sort()
+            self._pending = deque(heapq.merge(self._pending, items))
 
-        # Node states may have been assigned since the last call.
+        # Node states and filters may have been assigned since the last call.
         self._bus_off = {n for n in self._order if n.state.mode is NodeMode.BUS_OFF}
+        self._receivers.clear()
         self._events = []
         while self._t < until_bits:
             self._step(until_bits)
@@ -271,7 +293,7 @@ class Bus:
 
     def _pop_arrivals(self) -> None:
         while self._pending and self._pending[0][0] <= self._t:
-            _, _, node, frame = self._pending.pop(0)
+            _, _, node, frame = self._pending.popleft()
             try:
                 node.submit(frame)
             except BusOffError:
@@ -286,12 +308,18 @@ class Bus:
             starters = [n for n in self._order
                         if n.queue and n.state.mode is not NodeMode.BUS_OFF]
             if starters:
+                txs = self._tx_of
                 for n in starters:
                     entry = n.queue[0]
                     kind = EventKind.RETRANSMIT if entry.attempted else EventKind.TX_START
                     entry.attempted = True
                     self._emit(kind, n.name, entry.frame, t)
-                    self._active.append(_Transmitter(n, entry, self._plans))
+                    # A node that lost arbitration contends again with the
+                    # same queue head, so its transmitter is reused.
+                    tr = txs.get(n)
+                    if tr is None or tr.entry is not entry:
+                        tr = txs[n] = _Transmitter(n, entry, self._plans)
+                    self._active.append(tr)
                 self._start, self._k = t, 0
                 return self._tx_bit(t, until_bits)
 
@@ -321,12 +349,17 @@ class Bus:
     def _tx_bit(self, t: int, until_bits: int) -> None:
         active = self._active
         k = self._k
-        # Skip ahead through uncontested, unobservable stretches of the frame,
-        # up to the ACK slot or the last EOF bit and never to the horizon.
+        # Skip ahead through a lone, fault-free frame: no node's mode can change
+        # inside it. Stop at the ACK slot unless another node will ACK, else go
+        # to the last EOF bit, and never reach the horizon, so the run that
+        # decided the ACK also simulates it.
         if self._SKIP and len(active) == 1 and not self._bus_off:
             plan = active[0].plan
             if self._next_fault(t) >= self._start + plan.total_len:
-                target = plan.ack_idx if k <= plan.ack_idx else plan.total_len - 1
+                if k <= plan.ack_idx and not self._acked(active[0].node):
+                    target = plan.ack_idx
+                else:
+                    target = plan.total_len - 1
                 target = min(target, k + until_bits - 1 - t)
                 if target > k:
                     t += target - k
@@ -337,9 +370,7 @@ class Bus:
         driven = [tr.plan.stream[k] for tr in active]
         sole = active[0] if len(active) == 1 else None
         ack_bit = sole is not None and k == sole.plan.ack_idx
-        # Every other error-active node acknowledges in the ACK slot.
-        if ack_bit and any(n is not sole.node and n.state.mode is NodeMode.ERROR_ACTIVE
-                           for n in self._order):
+        if ack_bit and self._acked(sole.node):
             driven.append(DOMINANT)
         resolved = resolve_bit(driven)
 
@@ -349,16 +380,20 @@ class Bus:
             resolved = fault
 
         error = False
-        still: List[_Transmitter] = []
-        for tr in active:
-            if tr.plan.stream[k] == resolved or (ack_bit and tr is sole):
-                still.append(tr)
-                continue
-            if k <= tr.plan.arb_end and fault is None:
-                self._emit(EventKind.ARBITRATION_LOST, tr.node.name, tr.entry.frame, t)
-            else:
-                self._emit(EventKind.ERROR_FRAME, tr.node.name, tr.entry.frame, t)
-                error = True
+        # The sole transmitter keeps its ACK slot; otherwise a transmitter
+        # whose level differs from the bus's drops out.
+        still = active if ack_bit else [
+            tr for tr, level in zip(active, driven) if level == resolved]
+        if len(still) < len(active):
+            for tr, level in zip(active, driven):
+                if level == resolved:
+                    continue
+                if k <= tr.plan.arb_end and fault is None:
+                    self._emit(EventKind.ARBITRATION_LOST, tr.node.name,
+                               tr.entry.frame, t)
+                else:
+                    self._emit(EventKind.ERROR_FRAME, tr.node.name, tr.entry.frame, t)
+                    error = True
 
         if ack_bit and resolved == RECESSIVE:
             self._emit(EventKind.ACK_ERROR, sole.node.name, sole.entry.frame, t)
@@ -392,15 +427,20 @@ class Bus:
                 tr.node.queue.remove(tr.entry)
                 self._apply_counter(tr.node, CounterEvent.TX_SUCCESS, t)
                 tr.node.delivered += 1
+            # update_counters returns the state unchanged for RX_SUCCESS at
+            # rec == 0, so only receivers with rec > 0 need the call.
             for n in self._order:
-                if n in tx_nodes or n.state.mode is NodeMode.BUS_OFF:
-                    continue
-                # update_counters returns the state unchanged for RX_SUCCESS
-                # at rec == 0, so only receivers with rec > 0 need the call.
-                if n.state.rec:
+                if (n.state.rec and n not in tx_nodes
+                        and n.state.mode is not NodeMode.BUS_OFF):
                     self._apply_counter(n, CounterEvent.RX_SUCCESS, t)
-                for tr in still:
-                    if n.accepts(tr.entry.frame.id):
+            frame_id = still[0].entry.frame.id
+            receivers = self._receivers.get(frame_id)
+            if receivers is None:
+                receivers = self._receivers[frame_id] = [
+                    n for n in self._order if n.accepts(frame_id)]
+            for n in receivers:
+                if n not in tx_nodes and n.state.mode is not NodeMode.BUS_OFF:
+                    for tr in still:
                         n.received.append(tr.entry.frame)
             for tr in still:
                 self._emit(EventKind.FRAME_DELIVERED, tr.node.name, tr.entry.frame,

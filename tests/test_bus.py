@@ -5,10 +5,10 @@ import pytest
 from vcanlab.bus import (Bus, BusConfig, DuplicateNameError, EventKind,
                          RateDistanceError, RateRangeError, ScheduleEntry,
                          ScheduleForDetachedNodeError, TooManyNodesError,
-                         resolve_bit, validate_bus_config)
+                         TraceEvent, resolve_bit, validate_bus_config)
 from vcanlab.codec import DOMINANT, RECESSIVE, frame_bit_length
 from vcanlab.frame import Frame, FrameId, FrameKind, data_frame
-from vcanlab.node import NodeMode
+from vcanlab.node import AcceptanceFilter, NodeMode
 
 from oracles import arbitration_winner, random_frame
 
@@ -179,6 +179,45 @@ class TestRun:
         assert EventKind.ACK_ERROR in kinds(trace)
         assert EventKind.FRAME_DELIVERED not in kinds(trace)
 
+    def test_shuffled_schedule_gives_the_sorted_trace(self):
+        rng = random.Random(5)
+        times = rng.sample(range(20_000), 60)
+        sched = [ScheduleEntry(t, f"n{rng.randrange(3)}", random_frame(rng))
+                 for t in sorted(times)]
+        shuffled = sched[:]
+        rng.shuffle(shuffled)
+
+        def one(schedule):
+            bus = Bus(BusConfig())
+            for i in range(3):
+                bus.attach_node(f"n{i}")
+            trace = bus.run(schedule, 40_000)
+            return trace, bus.status_lines(), [n.received for n in bus.nodes.values()]
+        assert one(shuffled) == one(sched)
+
+    def test_equal_times_across_runs_keep_submit_order(self):
+        # Both frames reach the queue at bit 100 with one id, so submit
+        # order alone decides which is sent first.
+        bus = Bus(BusConfig())
+        bus.attach_node("a")
+        bus.attach_node("b")
+        first, second = data_frame(0x100, b"\x01"), data_frame(0x100, b"\x02")
+        trace = bus.run([ScheduleEntry(50, "a", data_frame(0x050, b"")),
+                         ScheduleEntry(100, "a", first)], 10)
+        trace += bus.run([ScheduleEntry(100, "a", second)], 5_000)
+        assert [e.frame for e in delivered(trace)][1:] == [first, second]
+
+    def test_filter_assigned_between_runs_takes_effect(self):
+        bus = Bus(BusConfig())
+        bus.attach_node("a")
+        b = bus.attach_node("b", AcceptanceFilter(0x200, 0x7FF))
+        frame = data_frame(0x100, b"")
+        bus.run([ScheduleEntry(0, "a", frame)], 200)
+        assert b.received == []
+        b.filter = None
+        bus.run([ScheduleEntry(200, "a", frame)], 400)
+        assert b.received == [frame]
+
     def test_later_arrival_waits_for_idle(self):
         bus = Bus(BusConfig())
         bus.attach_node("a")
@@ -189,6 +228,40 @@ class TestRun:
                          ScheduleEntry(20, "b", data_frame(0x050, b""))], 5_000)
         first, second = delivered(trace)
         assert first.node == "a" and second.node == "b"
+
+
+class TestTraceEvent:
+    def test_fields_by_name(self):
+        frame = data_frame(0x100, b"\x01")
+        e = TraceEvent(7, 7e-6, "a", EventKind.TX_START, frame)
+        assert (e.time_bits, e.time_s, e.node, e.kind, e.frame) == (
+            7, 7e-6, "a", EventKind.TX_START, frame)
+
+    def test_frame_defaults_to_none(self):
+        assert TraceEvent(3, 3e-6, None, EventKind.FAULT_INJECTED).frame is None
+
+    def test_fields_are_read_only(self):
+        e = TraceEvent(3, 3e-6, None, EventKind.FAULT_INJECTED)
+        with pytest.raises(AttributeError):
+            e.node = "a"
+
+    def test_compares_and_hashes_by_value(self):
+        a = TraceEvent(3, 3e-6, "a", EventKind.TX_START, data_frame(1, b""))
+        b = TraceEvent(3, 3e-6, "a", EventKind.TX_START, data_frame(1, b""))
+        assert a == b and hash(a) == hash(b)
+        assert a != a._replace(node="b")
+
+    def test_bus_events_equal_constructed_ones(self):
+        bus = Bus(BusConfig())
+        bus.attach_node("a")
+        bus.attach_node("b")
+        frame = data_frame(0x100, b"")
+        trace = bus.run([ScheduleEntry(0, "a", frame)], 200)
+        end = trace[-1].time_bits
+        assert trace == [TraceEvent(0, 0.0, "a", EventKind.TX_START, frame),
+                         TraceEvent(end, end / 1_000_000, "a",
+                                    EventKind.FRAME_DELIVERED, frame)]
+        assert all(type(e) is TraceEvent for e in trace)
 
 
 class TestFaultInjection:
