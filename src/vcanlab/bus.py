@@ -19,14 +19,15 @@ from . import codec
 from .codec import DOMINANT, RECESSIVE
 from .frame import Frame, FrameId
 from .node import (AcceptanceFilter, BusOffError, CounterEvent, Node, NodeMode,
-                   QueuedFrame, RECOVERY_GROUP_BITS, observe_recovery,
-                   update_counters)
+                   QueuedFrame, RECOVERY_GROUP_BITS, RECOVERY_GROUPS,
+                   observe_recovery, update_counters)
 
 MIN_BITRATE_BPS = 20_000
 MAX_BITRATE_BPS = 1_000_000
 MAX_NODES = 110
 INTERMISSION_BITS = 3
 _BUS_LEVELS = (DOMINANT, RECESSIVE)
+_DOMINANT_BIT = bytes((DOMINANT,))  # one dominant level in a WirePlan stream
 # Conservative rate-distance product law covering both published operating
 # points: 5 kbps over 10 km sits exactly on the bound, 1 Mbps over 40 m under it.
 RATE_DISTANCE_LIMIT = 50_000_000  # bit*m/s
@@ -233,9 +234,12 @@ class Bus:
             self._bus_off.add(node)
             self._emit(EventKind.BUS_OFF_ENTERED, node.name, None, t)
 
-    def _recovery_tick(self, resolved: int, t: int) -> None:
+    def _recovery_tick(self, resolved: int, t: int) -> bool:
+        """Credit bit ``t``'s level to each bus-off node; return whether one
+        recovered at it."""
         if not self._bus_off:
-            return
+            return False
+        recovered = False
         for node in self._order:
             if node.state.mode is not NodeMode.BUS_OFF:
                 continue
@@ -249,6 +253,48 @@ class Bus:
                 if node.state.mode is not NodeMode.BUS_OFF:
                     self._bus_off.discard(node)
                     self._emit(EventKind.BUS_OFF_RECOVERED, node.name, None, t)
+                    recovered = True
+        return recovered
+
+    def _credit_skip(self, runs: List[int]) -> int:
+        """Credit a stretch of bits about to be skipped to each bus-off node's
+        recovery count, and return how many of its bits to skip.
+
+        ``runs`` are the lengths of the stretch's recessive runs in order, each
+        separated from the next by one dominant bit. The skip stops before the
+        first bit at which a bus-off node would complete its last recovery
+        group, so that bit is stepped and its recovery emitted as usual.
+        """
+        n = sum(runs) + len(runs) - 1
+        off = self._bus_off
+        for node in off:
+            groups = node.state.recessive_run_groups
+            partial = node.partial_recessive
+            at = 0  # index of the run's first bit in the stretch
+            for run in runs:
+                need = (RECOVERY_GROUPS - groups) * RECOVERY_GROUP_BITS - partial
+                if run >= need:
+                    n = min(n, at + need - 1)
+                    break
+                groups += (partial + run) // RECOVERY_GROUP_BITS
+                partial = 0
+                at += run + 1
+        # A dominant bit ends a run and restarts the partial count; only
+        # recessive runs of 11 bits complete a group.
+        for node in off:
+            state = node.state
+            partial = node.partial_recessive
+            left = n
+            for run in runs:
+                if left <= run:
+                    break
+                state = observe_recovery(state, partial + run)
+                partial = 0
+                left -= run + 1
+            partial += left
+            node.state = observe_recovery(state, partial)
+            node.partial_recessive = partial % RECOVERY_GROUP_BITS
+        return n
 
     def _acked(self, sender: Node) -> bool:
         """Whether another error-active node will drive ``sender``'s ACK slot
@@ -323,20 +369,25 @@ class Bus:
                 self._start, self._k = t, 0
                 return self._tx_bit(t, until_bits)
 
-        # Intermission or idle: only a fault drives the bus. Idle with no node
-        # bus-off before this bit's recovery credit means every queue is empty,
-        # so the bus may jump to the next arrival, fault or horizon.
-        skip = self._SKIP and not self._interm and not self._bus_off
+        # Intermission or idle: only a fault drives the bus. Idle means every
+        # queue of a node on the bus is empty, so the bus may jump to the next
+        # arrival, fault or horizon, crediting the recessive bits it skips to
+        # the bus-off nodes. A node that recovered at this bit may hold a
+        # queued frame, so then the next bit is stepped.
+        skip = self._SKIP and not self._interm
         resolved = self._faults.get(t, RECESSIVE)
         if t in self._faults:
             self._emit(EventKind.FAULT_INJECTED, None, None, t)
-        self._recovery_tick(resolved, t)
+        if self._recovery_tick(resolved, t):
+            skip = False
         if self._interm:
             self._interm -= 1
         if skip:
             nxt = min(until_bits, self._next_fault(t + 1))
             if self._pending:
                 nxt = min(nxt, self._pending[0][0])
+            if nxt > t + 1 and self._bus_off:
+                nxt = t + 1 + self._credit_skip([nxt - t - 1])
             self._t = max(t + 1, nxt)
         else:
             self._t = t + 1
@@ -349,18 +400,27 @@ class Bus:
     def _tx_bit(self, t: int, until_bits: int) -> None:
         active = self._active
         k = self._k
-        # Skip ahead through a lone, fault-free frame: no node's mode can change
-        # inside it. Stop at the ACK slot unless another node will ACK, else go
-        # to the last EOF bit, and never reach the horizon, so the run that
-        # decided the ACK also simulates it.
-        if self._SKIP and len(active) == 1 and not self._bus_off:
+        # Skip ahead through a lone, fault-free frame: only a bus-off node's
+        # recovery can change a mode inside it, and the skip stops before that.
+        # Stop at the ACK slot unless another node will ACK, else go to the
+        # last EOF bit, and never reach the horizon, so the run that decided
+        # the ACK also simulates it.
+        if self._SKIP and len(active) == 1:
             plan = active[0].plan
             if self._next_fault(t) >= self._start + plan.total_len:
-                if k <= plan.ack_idx and not self._acked(active[0].node):
-                    target = plan.ack_idx
+                ack = plan.ack_idx
+                if k <= ack and not self._acked(active[0].node):
+                    target = ack
                 else:
                     target = plan.total_len - 1
                 target = min(target, k + until_bits - 1 - t)
+                if target > k and self._bus_off:
+                    # An ACK slot inside the stretch is another node's ACK.
+                    levels = plan.stream[k:target]
+                    if k <= ack < target:
+                        levels = levels[:ack - k] + _DOMINANT_BIT + levels[ack - k + 1:]
+                    target = k + self._credit_skip(
+                        [len(run) for run in levels.split(_DOMINANT_BIT)])
                 if target > k:
                     t += target - k
                     k = self._k = target

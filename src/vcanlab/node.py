@@ -6,7 +6,7 @@ from __future__ import annotations
 import bisect
 import enum
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .frame import Frame, FrameId, arbitration_key
@@ -103,14 +103,21 @@ def observe_recovery(state: NodeState, consecutive_recessive_bits: int) -> NodeS
     """Credit a run of recessive bus bits toward bus-off recovery.
 
     Each complete group of 11 recessive bits counts once; after 128 groups the
-    node rejoins error-active with cleared counters.
+    node rejoins error-active with cleared counters. A run that completes no
+    group returns ``state`` itself.
     """
     if state.mode is not NodeMode.BUS_OFF:
         raise InvalidStateError("recovery only applies to a bus-off node")
-    groups = state.recessive_run_groups + consecutive_recessive_bits // RECOVERY_GROUP_BITS
+    if consecutive_recessive_bits < 0:
+        raise ValueError(
+            f"recessive bit count must be non-negative, got {consecutive_recessive_bits}")
+    completed = consecutive_recessive_bits // RECOVERY_GROUP_BITS
+    if not completed:
+        return state
+    groups = state.recessive_run_groups + completed
     if groups >= RECOVERY_GROUPS:
         return NodeState()
-    return replace(state, recessive_run_groups=groups)
+    return NodeState(state.tec, state.rec, state.mode, groups)
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,18 @@ def filters(draw):
     return AcceptanceFilter(draw(SMALL_IDS), mask, extended)
 
 
+# A bus-off node's recovery groups and partial count: fresh, or a few
+# recessive bits short of recovery.
+PRESETS = st.tuples(st.sampled_from([0, *range(RECOVERY_GROUPS - 8, RECOVERY_GROUPS)]),
+                    st.integers(0, RECOVERY_GROUP_BITS - 1))
+
+
 @st.composite
 def scenarios(draw):
     """Up to twelve nodes, some with standard or extended acceptance filters,
-    contending frames, faults anywhere up to the horizon, and sometimes a
-    node forced bus-off before the run."""
+    contending frames, faults anywhere up to the horizon, dominant bursts
+    that drive senders bus-off, and sometimes a node forced bus-off before
+    the run, either fresh or a few recessive bits short of recovery."""
     n = draw(st.integers(1, 12))
     nodes = [(f"n{i}", draw(st.none() | filters())) for i in range(n)]
     horizon = draw(st.integers(1, 12_000))
@@ -48,7 +55,10 @@ def scenarios(draw):
     faults = draw(st.lists(
         st.tuples(st.integers(0, horizon), st.sampled_from([DOMINANT, RECESSIVE])),
         max_size=40))
-    forced = draw(st.none() | senders)
+    for start, length in draw(st.lists(
+            st.tuples(st.integers(0, horizon), st.integers(100, 400)), max_size=3)):
+        faults += [(bit, DOMINANT) for bit in range(start, start + length)]
+    forced = draw(st.none() | st.tuples(senders, PRESETS))
     return nodes, schedule, horizon, faults, forced
 
 
@@ -59,8 +69,16 @@ def build(nodes, faults, forced):
     for bit, level in faults:
         bus.inject_fault(bit, level)
     if forced is not None:
-        bus.nodes[forced].state = NodeState(tec=256, mode=NodeMode.BUS_OFF)
+        name, preset = forced
+        force_bus_off(bus.nodes[name], *preset)
     return bus
+
+
+def force_bus_off(node, groups=0, partial=0):
+    """Put ``node`` bus-off with ``groups`` recovery groups and ``partial``
+    recessive bits toward the next one already counted."""
+    node.state = NodeState(tec=256, mode=NodeMode.BUS_OFF, recessive_run_groups=groups)
+    node.partial_recessive = partial
 
 
 def outcome(bus, trace):
@@ -93,7 +111,7 @@ def received_by_trace(nodes, trace, forced):
     for e in trace:
         if e.kind is EventKind.FRAME_DELIVERED:
             senders.setdefault(e.time_bits, set()).add(e.node)
-    off = {name: name == forced for name, _ in nodes}
+    off = {name: forced is not None and name == forced[0] for name, _ in nodes}
     received = {name: [] for name, _ in nodes}
     for e in trace:
         if e.kind in (EventKind.BUS_OFF_ENTERED, EventKind.BUS_OFF_RECOVERED):
@@ -201,7 +219,7 @@ def test_forced_bus_off_recovers_with_skips_on():
     bus = Bus(BusConfig())
     bus.attach_node("a")
     ghost = bus.attach_node("ghost")
-    ghost.state = NodeState(tec=256, mode=NodeMode.BUS_OFF)
+    force_bus_off(ghost)
     assert bus.run([], recovery_bits - 1) == []
     assert ghost.state.mode is NodeMode.BUS_OFF
     trace = bus.run([], recovery_bits + 10_000)
@@ -223,6 +241,118 @@ def test_recovered_node_resends_its_queued_frame(monkeypatch, skip):
     assert recovered[0] == 5180
     nxt = next(e for e in trace if e.time_bits > 5180)
     assert (nxt.kind, nxt.time_bits) == (EventKind.RETRANSMIT, 5181)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PRESETS, min_size=1, max_size=3),
+       st.lists(st.integers(0, 120), min_size=1, max_size=8))
+def test_bulk_credit_matches_ticking_each_bit(presets, runs):
+    # Bus-off nodes credited a stretch of recessive runs, one dominant bit
+    # between each two, at once must end as if each bit were ticked, up to
+    # the first bit at which one of them recovers, which is left unticked.
+    def fresh():
+        bus = Bus(BusConfig())
+        for i, preset in enumerate(presets):
+            force_bus_off(bus.attach_node(f"n{i}"), *preset)
+        bus.run([], 0)  # takes note of the bus-off nodes
+        return bus
+
+    def counts(bus):
+        return [(n.state, n.partial_recessive) for n in bus.nodes.values()]
+
+    levels = [RECESSIVE] * runs[0]
+    for run in runs[1:]:
+        levels += [DOMINANT] + [RECESSIVE] * run
+    ticked = fresh()
+    expected = (len(levels), None)
+    for t, level in enumerate(levels):
+        before = counts(ticked)
+        ticked._recovery_tick(level, t)
+        if ticked._events:
+            expected = (t, before)
+            break
+    bulk = fresh()
+    n = bulk._credit_skip(runs)
+    assert (n, counts(bulk)) == (expected[0], expected[1] or counts(ticked))
+    assert bulk._events == []
+
+
+def recoveries(trace):
+    return [(e.node, e.time_bits) for e in trace
+            if e.kind is EventKind.BUS_OFF_RECOVERED]
+
+
+# The ACK delimiter and each EOF bit of LONE.
+TAIL_AFTER_ACK = range(PLAN.ack_idx + 1, PLAN.total_len)
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("at", TAIL_AFTER_ACK)
+def test_recovery_inside_a_lone_frames_tail(monkeypatch, skip, at):
+    # The run stops at the ACK delimiter, where a third node is put one
+    # group short of recovery, so that it recovers at bit ``at`` of the
+    # frame's recessive tail. Recovered before the last EOF bit, it receives
+    # the frame; that bit's delivery comes before its recovery credit.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus = lone_bus()
+    ghost = bus.attach_node("ghost")
+    first = bus.run([ScheduleEntry(0, "solo", LONE)], PLAN.ack_idx + 1)
+    force_bus_off(ghost, RECOVERY_GROUPS - 1, RECOVERY_GROUP_BITS + PLAN.ack_idx - at)
+    trace = first + bus.run([], 2 * PLAN.total_len)
+    assert recoveries(trace) == [("ghost", at)]
+    assert bus.nodes["peer"].received == [LONE]
+    assert ghost.received == ([LONE] if at < PLAN.total_len - 1 else [])
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("fault_at", [0, 5, 10, 11, 700, 1_000, 1_406, 1_407])
+def test_fault_in_a_bus_off_idle_stretch_restarts_the_count(monkeypatch, skip, fault_at):
+    # Unbroken, 128 groups of 11 recessive bits end at bit 1407. A dominant
+    # bit at ``fault_at`` keeps the groups completed before it, drops the
+    # partial one and starts a new one after it, so recovery comes
+    # ``fault_at % 11 + 1`` bits later.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus = Bus(BusConfig())
+    bus.attach_node("a")
+    force_bus_off(bus.attach_node("ghost"))
+    bus.inject_fault(fault_at, DOMINANT)
+    trace = bus.run([], 5_000)
+    unbroken = RECOVERY_GROUPS * RECOVERY_GROUP_BITS - 1
+    assert recoveries(trace) == [("ghost", unbroken + fault_at % RECOVERY_GROUP_BITS + 1)]
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("frame_first", [False, True])
+def test_recoveries_on_one_bit_follow_attach_order(monkeypatch, skip, frame_first):
+    # Two nodes one group short of recovery, attached in reverse name order.
+    # Idle, they recover at bit 10; after an ACKed frame from bit 0, whose
+    # dominant ACK slot restarts their count, at its last intermission bit.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus = lone_bus()
+    for name in ("zed", "amy"):
+        force_bus_off(bus.attach_node(name), RECOVERY_GROUPS - 1)
+    schedule = [ScheduleEntry(0, "solo", LONE)] if frame_first else []
+    trace = bus.run(schedule, 2 * PLAN.total_len)
+    at = PLAN.total_len + INTERMISSION_BITS - 1 if frame_first else RECOVERY_GROUP_BITS - 1
+    assert recoveries(trace) == [("zed", at), ("amy", at)]
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("late", [0, 1])
+def test_arrival_at_the_recovery_bit_is_dropped(monkeypatch, skip, late):
+    # The ghost recovers at bit 84. A frame arriving then is dropped, since
+    # the ghost is still bus-off when arrivals are taken; one bit later it is
+    # queued and sent at once.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus = lone_bus()
+    ghost = bus.attach_node("ghost")
+    force_bus_off(ghost, RECOVERY_GROUPS - 8, 3)
+    recovered = 8 * RECOVERY_GROUP_BITS - 3 - 1
+    trace = bus.run([ScheduleEntry(recovered + late, "ghost", LONE)], 1_000)
+    assert recoveries(trace) == [("ghost", recovered)]
+    starts = [(e.node, e.time_bits) for e in trace if e.kind is EventKind.TX_START]
+    assert starts == ([("ghost", recovered + 1)] if late else [])
+    assert ghost.delivered == late
 
 
 def test_ack_is_decided_by_the_run_that_reaches_it():

@@ -106,6 +106,22 @@ class TestRecovery:
         with pytest.raises(InvalidStateError):
             observe_recovery(NodeState(), 11)
 
+    def test_negative_bit_count_rejected(self):
+        s = NodeState(tec=256, mode=NodeMode.BUS_OFF, recessive_run_groups=5)
+        with pytest.raises(ValueError):
+            observe_recovery(s, -22)
+        with pytest.raises(ValueError):
+            observe_recovery(s, -1)
+
+    @pytest.mark.parametrize("bits", [0, 1, 10])
+    def test_no_complete_group_returns_the_state_itself(self, bits):
+        s = NodeState(tec=300, rec=7, mode=NodeMode.BUS_OFF, recessive_run_groups=5)
+        assert observe_recovery(s, bits) is s
+
+    def test_partial_credit_keeps_the_counters(self):
+        s = NodeState(tec=300, rec=7, mode=NodeMode.BUS_OFF, recessive_run_groups=5)
+        assert observe_recovery(s, 23) == NodeState(300, 7, NodeMode.BUS_OFF, 7)
+
 
 class TestNode:
     def test_fresh_status(self):
