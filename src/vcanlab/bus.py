@@ -296,10 +296,11 @@ class Bus:
             node.partial_recessive = partial % RECOVERY_GROUP_BITS
         return n
 
-    def _acked(self, sender: Node) -> bool:
-        """Whether another error-active node will drive ``sender``'s ACK slot
-        dominant."""
-        return any(n is not sender and n.state.mode is NodeMode.ERROR_ACTIVE
+    def _acked(self, active: List[_Transmitter]) -> bool:
+        """Whether an error-active node that is not among the ``active``
+        transmitters will drive their ACK slot dominant."""
+        senders = [tr.node for tr in active]
+        return any(n.state.mode is NodeMode.ERROR_ACTIVE and n not in senders
                    for n in self._order)
 
     def _next_fault(self, t: int) -> float:
@@ -409,7 +410,7 @@ class Bus:
             plan = active[0].plan
             if self._next_fault(t) >= self._start + plan.total_len:
                 ack = plan.ack_idx
-                if k <= ack and not self._acked(active[0].node):
+                if k <= ack and not self._acked(active):
                     target = ack
                 else:
                     target = plan.total_len - 1
@@ -428,9 +429,10 @@ class Bus:
                     self._pop_arrivals()
 
         driven = [tr.plan.stream[k] for tr in active]
-        sole = active[0] if len(active) == 1 else None
-        ack_bit = sole is not None and k == sole.plan.ack_idx
-        if ack_bit and self._acked(sole.node):
+        # Transmitters still on the wire sent identical bits, so at one's ACK
+        # slot all of them are at theirs.
+        ack_bit = k == active[0].plan.ack_idx
+        if ack_bit and self._acked(active):
             driven.append(DOMINANT)
         resolved = resolve_bit(driven)
 
@@ -440,8 +442,8 @@ class Bus:
             resolved = fault
 
         error = False
-        # The sole transmitter keeps its ACK slot; otherwise a transmitter
-        # whose level differs from the bus's drops out.
+        # At the ACK slot every transmitter stays on the wire, whatever the
+        # bus shows; elsewhere one whose level differs from the bus's drops out.
         still = active if ack_bit else [
             tr for tr, level in zip(active, driven) if level == resolved]
         if len(still) < len(active):
@@ -456,7 +458,8 @@ class Bus:
                     error = True
 
         if ack_bit and resolved == RECESSIVE:
-            self._emit(EventKind.ACK_ERROR, sole.node.name, sole.entry.frame, t)
+            for tr in active:
+                self._emit(EventKind.ACK_ERROR, tr.node.name, tr.entry.frame, t)
             error = True
 
         if error:

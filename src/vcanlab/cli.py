@@ -88,10 +88,16 @@ def build_parser() -> _Parser:
 
 def _cmd_simulate(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        print(f"error: line {line_no}: not UTF-8 text", file=sys.stderr)
         return EXIT_CONFIG
     try:
         scenario = parse_scenario(text)

@@ -16,7 +16,9 @@ CR = b"\r"
 BEL = b"\x07"
 MAX_LINE_BYTES = 28  # including the CR terminator
 
-_HEX = set("0123456789ABCDEF")
+# Checked before int(..., 16) and bytes.fromhex, which also take lower case,
+# spaces and underscores.
+_HEX = frozenset("0123456789ABCDEF")
 
 
 class ParseReason(enum.Enum):
@@ -35,7 +37,7 @@ class SerialParseError(ValueError):
 
 
 def _hex_field(text: str, what: str) -> int:
-    if not text or any(ch not in _HEX for ch in text):
+    if not text or not _HEX.issuperset(text):
         raise SerialParseError(ParseReason.BAD_HEX, f"bad hex in {what}: {text!r}")
     return int(text, 16)
 
@@ -85,8 +87,10 @@ def parse_serial_line(data: bytes) -> Frame:
     if len(body) != 2 * dlc:
         raise SerialParseError(ParseReason.LENGTH_MISMATCH,
                                f"expected {2 * dlc} data digits, got {len(body)}")
-    payload = bytes(_hex_field(body[i:i + 2], "data") for i in range(0, len(body), 2))
-    return Frame(frame_id, FrameKind.DATA, dlc, payload)
+    if not _HEX.issuperset(body):
+        for i in range(0, len(body), 2):  # name the first bad byte pair
+            _hex_field(body[i:i + 2], "data")
+    return Frame(frame_id, FrameKind.DATA, dlc, bytes.fromhex(body))
 
 
 def format_serial_line(frame: Frame) -> bytes:

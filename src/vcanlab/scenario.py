@@ -15,11 +15,12 @@ Frames use the serial-line grammar (without the CR).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import codec
 from .bus import (Bus, BusConfig, EventKind, ScheduleEntry, TraceEvent,
                   validate_bus_config)
+from .frame import Frame
 from .gateway import SerialParseError, format_serial_line, parse_serial_line
 from .node import AcceptanceFilter
 
@@ -91,6 +92,9 @@ def parse_scenario(text: str) -> Scenario:
     names = set()
     seen_headers = set()
     schedule: List[ScheduleEntry] = []
+    # Frames by their text: each distinct frame field is parsed once, and
+    # equal texts share one (immutable) Frame.
+    frames: Dict[str, Frame] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -154,10 +158,15 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioSyntaxError(line_no, "time must be non-negative")
             if parts[1] not in names:
                 raise UnknownNodeError(line_no, f"undeclared node {parts[1]!r}")
-            try:
-                frame = parse_serial_line(parts[2].encode("ascii"))
-            except SerialParseError as exc:
-                raise ScenarioSyntaxError(line_no, f"bad frame: {exc}") from None
+            frame = frames.get(parts[2])
+            if frame is None:
+                if not parts[2].isascii():
+                    raise ScenarioSyntaxError(line_no, "bad frame: non-ASCII input")
+                try:
+                    frame = parse_serial_line(parts[2].encode("ascii"))
+                except SerialParseError as exc:
+                    raise ScenarioSyntaxError(line_no, f"bad frame: {exc}") from None
+                frames[parts[2]] = frame
             schedule.append(ScheduleEntry(time_us, parts[1], frame))
 
     if bitrate is None:

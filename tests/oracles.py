@@ -4,7 +4,8 @@ These deliberately use different algorithms than the production code: the CRC
 oracle is polynomial long division over GF(2) on a big integer (the codec uses
 a table-driven shift register), and the arbitration oracle compares drive
 patterns bit by bit. The decoder walks the bits one at a time, where the
-codec scans strings.
+codec scans strings, and the serial-line parser checks and converts hex one
+character and one byte at a time, where the gateway checks whole fields.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from typing import List, Sequence
 from vcanlab.codec import (CRC_WIDTH, DOMINANT, EOF_BITS, RECESSIVE, TAIL_BITS,
                            CrcError, FormError, StuffError, TruncatedError,
                            _EXT_HEADER_BITS, _STD_HEADER_BITS, crc15)
-from vcanlab.frame import Frame, FrameId, FrameKind
+from vcanlab.frame import (MAX_EXTENDED_ID, MAX_STANDARD_ID, Frame, FrameId,
+                           FrameKind)
+from vcanlab.gateway import CR, MAX_LINE_BYTES, ParseReason, SerialParseError
 
 # x^15 + x^14 + x^10 + x^8 + x^7 + x^4 + x^3 + 1
 CRC_GENERATOR = 0xC599
@@ -189,3 +192,60 @@ def decode_frame_serial(bits: Sequence[int]) -> Frame:
             byte = (byte << 1) | b
         payload.append(byte)
     return Frame(frame_id, FrameKind.DATA, dlc, bytes(payload))
+
+
+_HEX_DIGITS = set("0123456789ABCDEF")
+
+
+def _hex_field_reference(text: str, what: str) -> int:
+    if not text or any(ch not in _HEX_DIGITS for ch in text):
+        raise SerialParseError(ParseReason.BAD_HEX, f"bad hex in {what}: {text!r}")
+    return int(text, 16)
+
+
+def parse_serial_line_reference(data: bytes) -> Frame:
+    """Character-by-character serial-line parser: the reference
+    :func:`vcanlab.gateway.parse_serial_line` must match on every input, in
+    the frame it returns or in the reason and message of the error it
+    raises."""
+    if len(data) > MAX_LINE_BYTES:
+        raise SerialParseError(ParseReason.OVERFLOW, "line too long")
+    if data.endswith(CR):
+        data = data[:-1]
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        raise SerialParseError(ParseReason.BAD_COMMAND, "non-ASCII input") from None
+    if not text:
+        raise SerialParseError(ParseReason.BAD_COMMAND, "empty line")
+    cmd, rest = text[0], text[1:]
+    if cmd not in "tTrR":
+        raise SerialParseError(ParseReason.BAD_COMMAND, f"unknown command {cmd!r}")
+    extended = cmd in "TR"
+    id_digits = 8 if extended else 3
+    if len(rest) < id_digits + 1:
+        raise SerialParseError(ParseReason.LENGTH_MISMATCH, "line too short")
+    id_value = _hex_field_reference(rest[:id_digits], "identifier")
+    limit = MAX_EXTENDED_ID if extended else MAX_STANDARD_ID
+    if id_value > limit:
+        raise SerialParseError(ParseReason.ID_OUT_OF_RANGE,
+                               f"identifier 0x{id_value:X} out of range")
+    dlc_ch = rest[id_digits]
+    if dlc_ch not in _HEX_DIGITS:
+        raise SerialParseError(ParseReason.BAD_HEX, f"bad dlc digit {dlc_ch!r}")
+    dlc = int(dlc_ch, 16)
+    if dlc > 8:
+        raise SerialParseError(ParseReason.BAD_DLC, f"dlc {dlc} exceeds 8")
+    body = rest[id_digits + 1:]
+    frame_id = FrameId(id_value, extended=extended)
+    if cmd in "rR":
+        if body:
+            raise SerialParseError(ParseReason.LENGTH_MISMATCH,
+                                   "remote frame carries no data")
+        return Frame(frame_id, FrameKind.REMOTE, dlc, b"")
+    if len(body) != 2 * dlc:
+        raise SerialParseError(ParseReason.LENGTH_MISMATCH,
+                               f"expected {2 * dlc} data digits, got {len(body)}")
+    payload = bytes(_hex_field_reference(body[i:i + 2], "data")
+                    for i in range(0, len(body), 2))
+    return Frame(frame_id, FrameKind.DATA, dlc, payload)

@@ -188,6 +188,53 @@ def test_ack_slot_never_skipped(monkeypatch, skip):
         assert EventKind.FRAME_DELIVERED not in dict(outcomes)
 
 
+@pytest.mark.parametrize("skip", [True, False])
+def test_identical_senders_alone_get_ack_errors(monkeypatch, skip):
+    # Two nodes sending the same frame at once are both on the wire at the
+    # ACK slot. With no other node to ACK it, each gets an ACK error, in
+    # attach order, as a lone sender does.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    frame = data_frame(0x100, bytes(2))
+    ack = wire_plan(frame).ack_idx
+    bus = Bus(BusConfig())
+    bus.attach_node("a")
+    bus.attach_node("b")
+    trace = bus.run([ScheduleEntry(0, "b", frame), ScheduleEntry(0, "a", frame)], ack + 1)
+    assert [(e.kind, e.node, e.time_bits) for e in trace] == [
+        (EventKind.TX_START, "a", 0), (EventKind.TX_START, "b", 0),
+        (EventKind.ACK_ERROR, "a", ack), (EventKind.ACK_ERROR, "b", ack)]
+    assert [n.state.tec for n in bus.nodes.values()] == [8, 8]
+
+
+@pytest.mark.parametrize("skip", [True, False])
+def test_identical_senders_are_acked_by_a_third_node(monkeypatch, skip):
+    # A third, error-active node drives the ACK slot of two identical
+    # frames dominant, so both are delivered, and a bus-off node counts
+    # the same levels as under one of them alone: its partial count
+    # restarts after the ACK slot.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    frame = data_frame(0x100, bytes(2))
+    plan = wire_plan(frame)
+
+    def go(senders):
+        bus = Bus(BusConfig())
+        for name in ("a", "b", "c"):
+            bus.attach_node(name)
+        ghost = bus.attach_node("ghost")
+        force_bus_off(ghost)
+        trace = bus.run([ScheduleEntry(0, name, frame) for name in senders],
+                        plan.total_len)
+        delivered = [(e.node, e.time_bits) for e in trace
+                     if e.kind is EventKind.FRAME_DELIVERED]
+        assert delivered == [(name, plan.total_len + INTERMISSION_BITS)
+                             for name in senders]
+        return ghost.state, ghost.partial_recessive
+
+    state, partial = go(["a", "b"])
+    assert (state, partial) == go(["a"])
+    assert partial == plan.total_len - 1 - plan.ack_idx
+
+
 def test_horizon_inside_a_frame():
     bus = Bus(BusConfig())
     bus.attach_node("a")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vcanlab.bus import Bus, BusConfig, ScheduleEntry
 from vcanlab.frame import FrameKind, data_frame, remote_frame
@@ -10,7 +11,37 @@ from vcanlab.gateway import (BEL, CR, GatewaySession, ParseReason,
 from vcanlab.node import NodeMode, NodeState
 from vcanlab.sensornet import SensorConfig, SensorReading, build_reading_frame
 
-from oracles import random_frame
+from oracles import parse_serial_line_reference, random_frame
+
+
+# Edits int(..., 16) or bytes.fromhex would let through, and edits the
+# grammar rejects on its own: a dropped character makes the digit count odd.
+_INSERTS = {"space": b" ", "underscore": b"_", "cr": b"\r",
+            "non_ascii": b"\xc3\xa9", "high_byte": b"\xff"}
+
+
+@st.composite
+def mutated_lines(draw):
+    """A valid line from :func:`format_serial_line`, with up to three edits."""
+    frame = random_frame(draw(st.randoms(use_true_random=False)))
+    line = bytearray(format_serial_line(frame))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["lower", "drop", *_INSERTS]))
+        i = draw(st.integers(0, len(line)))
+        if op == "lower":
+            line[i:i + 1] = line[i:i + 1].lower()
+        elif op == "drop":
+            del line[i:i + 1]
+        else:
+            line[i:i] = _INSERTS[op]
+    return bytes(line)
+
+
+def parse_outcome(parse, data):
+    try:
+        return parse(data)
+    except SerialParseError as exc:
+        return exc.reason, str(exc)
 
 
 class TestParse:
@@ -50,6 +81,12 @@ class TestParse:
     def test_lowercase_hex_rejected(self):
         with pytest.raises(SerialParseError):
             parse_serial_line(b"t1232abcd\r")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.binary(max_size=30) | mutated_lines())
+    def test_matches_the_reference_parser(self, data):
+        assert parse_outcome(parse_serial_line, data) == \
+            parse_outcome(parse_serial_line_reference, data)
 
 
 class TestFormat:

@@ -9,6 +9,7 @@ from vcanlab.bus import (Bus, BusConfig, ConfigError, EventKind,
                          TraceEvent, validate_bus_config)
 from vcanlab.cli import main
 from vcanlab.frame import data_frame
+from vcanlab.gateway import parse_serial_line
 from vcanlab.node import AcceptanceFilter
 from vcanlab.scenario import (Scenario, ScenarioSyntaxError, UnknownNodeError,
                               format_trace_event, parse_scenario,
@@ -131,6 +132,48 @@ class TestParseScenario:
         with pytest.raises(ScenarioSyntaxError) as exc:
             parse_scenario("allow_slow=maybe\n" + GOOD)
         assert exc.value.line_no == 1
+
+
+# Frame fields with repeats, as a sensor's readings repeat.
+FIELDS = ["t1232ABCD", "t1230", "r1004", "T1ABCDE2825566", "t7FF10A"]
+
+
+class TestFrameFields:
+    def test_equal_texts_share_one_frame(self):
+        sc = parse_scenario(GOOD + "3 b t1232ABCD\n7 a t1230\n9 b t1232ABCD\n")
+        first, second, other, third = [e.frame for e in sc.schedule]
+        assert first is second is third
+        assert first == data_frame(0x123, b"\xab\xcd")
+        assert other == data_frame(0x123, b"")
+
+    @given(st.lists(st.tuples(st.integers(0, 50), st.sampled_from(["a", "b"]),
+                              st.sampled_from(FIELDS)), max_size=30))
+    def test_schedule_equals_parsing_each_line(self, events):
+        text = GOOD + "".join(f"{t} {node} {field}\n" for t, node, field in events)
+        expected = [ScheduleEntry(0, "a", data_frame(0x123, b"\xab\xcd"))]
+        expected += [ScheduleEntry(t, node, parse_serial_line(field.encode("ascii")))
+                     for t, node, field in events]
+        expected.sort(key=lambda e: e.time_us)
+        assert parse_scenario(text).schedule == expected
+
+    def test_repeated_bad_line_reports_the_first(self):
+        with pytest.raises(ScenarioSyntaxError) as exc:
+            parse_scenario(GOOD + "1 a t12Z0\n" * 3)
+        assert exc.value.line_no == 6
+        assert "bad hex in identifier" in str(exc.value)
+
+    def test_non_ascii_frame_field(self):
+        with pytest.raises(ScenarioSyntaxError) as exc:
+            parse_scenario(GOOD + "1 a t1001\u00e9\n")
+        assert exc.value.line_no == 6
+        assert "non-ASCII" in str(exc.value)
+
+    @pytest.mark.parametrize("field", [b"t1001\xc3\xa9", b"t1001\xff"])
+    def test_simulate_rejects_non_ascii_frame_field(self, tmp_path, capsys, field):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(b"bitrate=500000\ndistance_m=40\nnode a\n0 a " + field + b"\n")
+        assert main(["simulate", str(path)]) == 2
+        assert "line 4" in capsys.readouterr().err
 
 
 class TestTraceFormat:
