@@ -129,21 +129,6 @@ def resolve_bit(driven_levels: Sequence[int]) -> int:
     return DOMINANT if DOMINANT in driven_levels else RECESSIVE
 
 
-class _Transmitter:
-    __slots__ = ("node", "entry", "plan")
-
-    def __init__(self, node: Node, entry: QueuedFrame,
-                 plans: Dict[Frame, codec.WirePlan]):
-        self.node = node
-        self.entry = entry
-        if entry.enc is None:
-            plan = plans.get(entry.frame)
-            if plan is None:
-                plan = plans[entry.frame] = codec.wire_plan(entry.frame)
-            entry.enc = plan
-        self.plan = entry.enc
-
-
 class Bus:
     """A virtual bus plus its attached nodes and one running simulation."""
 
@@ -161,10 +146,11 @@ class Bus:
         self._t = 0
         self._interm = 0
         # The slot in progress: first bit, index of the bit being sent, and
-        # the transmitters still on the wire (empty when the bus is idle).
+        # the queue heads of the transmitters still on the wire, each with
+        # its node and wire plan (``enc``); empty when the bus is idle.
         self._start = 0
         self._k = 0
-        self._active: List[_Transmitter] = []
+        self._active: List[QueuedFrame] = []
         self._events: List[TraceEvent] = []
         self._bus_off: Set[Node] = set()
         # Wire plans by frame: each distinct frame sent is laid out once.
@@ -172,8 +158,10 @@ class Bus:
         # Accepting nodes by frame id, in attach order, built on the id's
         # first delivery in a run() call.
         self._receivers: Dict[FrameId, List[Node]] = {}
-        # Each node's last transmitter.
-        self._tx_of: Dict[Node, _Transmitter] = {}
+        # The bit at which each node last recovered from bus-off, and the
+        # latest such bit of any node.
+        self._recovered_at: Dict[Node, int] = {}
+        self._last_recovery = -1
         # Events at the same bit time share one time_s float.
         self._emit_bits = -1
         self._emit_s = 0.0
@@ -252,6 +240,7 @@ class Bus:
                 node.state = observe_recovery(node.state, RECOVERY_GROUP_BITS)
                 if node.state.mode is not NodeMode.BUS_OFF:
                     self._bus_off.discard(node)
+                    self._recovered_at[node] = self._last_recovery = t
                     self._emit(EventKind.BUS_OFF_RECOVERED, node.name, None, t)
                     recovered = True
         return recovered
@@ -296,10 +285,10 @@ class Bus:
             node.partial_recessive = partial % RECOVERY_GROUP_BITS
         return n
 
-    def _acked(self, active: List[_Transmitter]) -> bool:
+    def _acked(self, active: List[QueuedFrame]) -> bool:
         """Whether an error-active node that is not among the ``active``
         transmitters will drive their ACK slot dominant."""
-        senders = [tr.node for tr in active]
+        senders = [entry.node for entry in active]
         return any(n.state.mode is NodeMode.ERROR_ACTIVE and n not in senders
                    for n in self._order)
 
@@ -355,18 +344,18 @@ class Bus:
             starters = [n for n in self._order
                         if n.queue and n.state.mode is not NodeMode.BUS_OFF]
             if starters:
-                txs = self._tx_of
+                plans = self._plans
                 for n in starters:
                     entry = n.queue[0]
                     kind = EventKind.RETRANSMIT if entry.attempted else EventKind.TX_START
                     entry.attempted = True
                     self._emit(kind, n.name, entry.frame, t)
-                    # A node that lost arbitration contends again with the
-                    # same queue head, so its transmitter is reused.
-                    tr = txs.get(n)
-                    if tr is None or tr.entry is not entry:
-                        tr = txs[n] = _Transmitter(n, entry, self._plans)
-                    self._active.append(tr)
+                    if entry.enc is None:
+                        plan = plans.get(entry.frame)
+                        if plan is None:
+                            plan = plans[entry.frame] = codec.wire_plan(entry.frame)
+                        entry.enc = plan
+                    self._active.append(entry)
                 self._start, self._k = t, 0
                 return self._tx_bit(t, until_bits)
 
@@ -407,7 +396,7 @@ class Bus:
         # last EOF bit, and never reach the horizon, so the run that decided
         # the ACK also simulates it.
         if self._SKIP and len(active) == 1:
-            plan = active[0].plan
+            plan = active[0].enc
             if self._next_fault(t) >= self._start + plan.total_len:
                 ack = plan.ack_idx
                 if k <= ack and not self._acked(active):
@@ -428,10 +417,10 @@ class Bus:
                     self._t = t
                     self._pop_arrivals()
 
-        driven = [tr.plan.stream[k] for tr in active]
+        driven = [entry.enc.stream[k] for entry in active]
         # Transmitters still on the wire sent identical bits, so at one's ACK
         # slot all of them are at theirs.
-        ack_bit = k == active[0].plan.ack_idx
+        ack_bit = k == active[0].enc.ack_idx
         if ack_bit and self._acked(active):
             driven.append(DOMINANT)
         resolved = resolve_bit(driven)
@@ -445,75 +434,82 @@ class Bus:
         # At the ACK slot every transmitter stays on the wire, whatever the
         # bus shows; elsewhere one whose level differs from the bus's drops out.
         still = active if ack_bit else [
-            tr for tr, level in zip(active, driven) if level == resolved]
+            entry for entry, level in zip(active, driven) if level == resolved]
         if len(still) < len(active):
-            for tr, level in zip(active, driven):
+            for entry, level in zip(active, driven):
                 if level == resolved:
                     continue
-                if k <= tr.plan.arb_end and fault is None:
-                    self._emit(EventKind.ARBITRATION_LOST, tr.node.name,
-                               tr.entry.frame, t)
+                if k <= entry.enc.arb_end and fault is None:
+                    self._emit(EventKind.ARBITRATION_LOST, entry.node.name, entry.frame, t)
                 else:
-                    self._emit(EventKind.ERROR_FRAME, tr.node.name, tr.entry.frame, t)
+                    self._emit(EventKind.ERROR_FRAME, entry.node.name, entry.frame, t)
                     error = True
 
         if ack_bit and resolved == RECESSIVE:
-            for tr in active:
-                self._emit(EventKind.ACK_ERROR, tr.node.name, tr.entry.frame, t)
+            for entry in active:
+                self._emit(EventKind.ACK_ERROR, entry.node.name, entry.frame, t)
             error = True
 
+        # Recovery credit for this bit goes to nodes already bus-off before
+        # any counter update, so a node that goes bus-off at it starts its
+        # 128x11 recessive count on the following bit.
+        self._recovery_tick(resolved, t)
         if error:
-            # Recovery credit for this bit goes to nodes already bus-off
-            # before the error is booked, so a fresh bus-off node starts its
-            # 128x11 recessive count on the following bit.
-            self._recovery_tick(resolved, t)
-            tx_nodes = {tr.node for tr in active}
-            for tr in active:
-                self._apply_counter(tr.node, CounterEvent.TX_ERROR, t)
-            for n in self._order:
-                if n not in tx_nodes and n.state.mode is not NodeMode.BUS_OFF:
-                    self._apply_counter(n, CounterEvent.RX_ERROR, t)
-            return self._end_slot(t)
-
+            return self._fail(active, t)
         if not still:
             # A fault displaced every transmitter inside the arbitration field;
             # treat like an aborted slot and let everyone retry.
-            self._recovery_tick(resolved, t)
             return self._end_slot(t)
-
         self._active = still
         # Survivors sent identical bits, so their frames have one length.
-        if k == still[0].plan.total_len - 1:
-            deliver_t = self._start + still[0].plan.total_len + INTERMISSION_BITS
-            tx_nodes = {tr.node for tr in still}
-            for tr in still:
-                tr.node.queue.remove(tr.entry)
-                self._apply_counter(tr.node, CounterEvent.TX_SUCCESS, t)
-                tr.node.delivered += 1
-            # update_counters returns the state unchanged for RX_SUCCESS at
-            # rec == 0, so only receivers with rec > 0 need the call.
-            for n in self._order:
-                if (n.state.rec and n not in tx_nodes
-                        and n.state.mode is not NodeMode.BUS_OFF):
-                    self._apply_counter(n, CounterEvent.RX_SUCCESS, t)
-            frame_id = still[0].entry.frame.id
-            receivers = self._receivers.get(frame_id)
-            if receivers is None:
-                receivers = self._receivers[frame_id] = [
-                    n for n in self._order if n.accepts(frame_id)]
-            for n in receivers:
-                if n not in tx_nodes and n.state.mode is not NodeMode.BUS_OFF:
-                    for tr in still:
-                        n.received.append(tr.entry.frame)
-            for tr in still:
-                self._emit(EventKind.FRAME_DELIVERED, tr.node.name, tr.entry.frame,
-                           deliver_t)
-            self._recovery_tick(resolved, t)
-            return self._end_slot(t)
-
-        self._recovery_tick(resolved, t)
+        if k == still[0].enc.total_len - 1:
+            return self._deliver(still, t)
         self._k = k + 1
         self._t = t + 1
+
+    def _fail(self, active: List[QueuedFrame], t: int) -> None:
+        """End the slot with an error at bit ``t``: each transmitter books a
+        transmit error, every other node on the bus a receive error."""
+        senders = {entry.node for entry in active}
+        for entry in active:
+            self._apply_counter(entry.node, CounterEvent.TX_ERROR, t)
+        for n in self._order:
+            if n not in senders and n.state.mode is not NodeMode.BUS_OFF:
+                self._apply_counter(n, CounterEvent.RX_ERROR, t)
+        self._end_slot(t)
+
+    def _deliver(self, still: List[QueuedFrame], t: int) -> None:
+        """End the slot at the frame's last EOF bit ``t``: each transmitter's
+        queue head is sent, and each accepting node that is not a transmitter
+        and was on the bus at every bit from SOF receives the frame once."""
+        start = self._start
+        deliver_t = start + still[0].enc.total_len + INTERMISSION_BITS
+        senders = {entry.node for entry in still}
+        for entry in still:
+            entry.node.queue.remove(entry)
+            self._apply_counter(entry.node, CounterEvent.TX_SUCCESS, t)
+            entry.node.delivered += 1
+        # update_counters returns the state unchanged for RX_SUCCESS at
+        # rec == 0, so only receivers with rec > 0 need the call.
+        for n in self._order:
+            if (n.state.rec and n not in senders
+                    and n.state.mode is not NodeMode.BUS_OFF):
+                self._apply_counter(n, CounterEvent.RX_SUCCESS, t)
+        frame = still[0].frame
+        receivers = self._receivers.get(frame.id)
+        if receivers is None:
+            receivers = self._receivers[frame.id] = [
+                n for n in self._order if n.accepts(frame.id)]
+        if self._last_recovery >= start:
+            # A node that recovered inside the frame missed its SOF.
+            recovered_at = self._recovered_at
+            receivers = [n for n in receivers if recovered_at.get(n, -1) < start]
+        for n in receivers:
+            if n not in senders and n.state.mode is not NodeMode.BUS_OFF:
+                n.received.append(frame)
+        for entry in still:
+            self._emit(EventKind.FRAME_DELIVERED, entry.node.name, entry.frame, deliver_t)
+        self._end_slot(t)
 
     # -- convenience -----------------------------------------------------
 

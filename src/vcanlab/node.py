@@ -140,10 +140,11 @@ _seq = itertools.count()
 class QueuedFrame:
     """Transmit-queue entry; orders by arbitration priority, then submit order."""
 
-    __slots__ = ("frame", "key", "attempted", "enc")
+    __slots__ = ("frame", "node", "key", "attempted", "enc")
 
-    def __init__(self, frame: Frame):
+    def __init__(self, frame: Frame, node: "Node"):
         self.frame = frame
+        self.node = node
         self.key = (arbitration_key(frame), next(_seq))
         self.attempted = False
         self.enc = None  # lazily built transmission plan (set by the bus)
@@ -168,7 +169,7 @@ class Node:
         """Queue a frame for transmission, ordered by arbitration priority."""
         if self.state.mode is NodeMode.BUS_OFF:
             raise BusOffError(f"node {self.name} is bus-off")
-        bisect.insort(self.queue, QueuedFrame(frame))
+        bisect.insort(self.queue, QueuedFrame(frame, self))
 
     def accepts(self, frame_id: FrameId) -> bool:
         return self.filter is None or accepts(self.filter, frame_id)

@@ -107,30 +107,30 @@ def parse_scenario(text: str) -> Scenario:
             if key in seen_headers:
                 raise ScenarioSyntaxError(line_no, f"{key}= given twice")
             seen_headers.add(key)
-        if head.startswith("bitrate="):
-            try:
-                bitrate = int(value)
-            except ValueError:
-                raise ScenarioSyntaxError(line_no, "bad bitrate") from None
-        elif head.startswith("distance_m="):
-            try:
-                distance = float(value)
-            except ValueError:
-                raise ScenarioSyntaxError(line_no, "bad distance_m") from None
-        elif head.startswith("allow_slow="):
-            if value in _TRUE:
-                allow_slow = True
-            elif value in _FALSE:
-                allow_slow = False
+            if key == "bitrate":
+                try:
+                    bitrate = int(value)
+                except ValueError:
+                    raise ScenarioSyntaxError(line_no, "bad bitrate") from None
+            elif key == "distance_m":
+                try:
+                    distance = float(value)
+                except ValueError:
+                    raise ScenarioSyntaxError(line_no, "bad distance_m") from None
+            elif key == "allow_slow":
+                if value in _TRUE:
+                    allow_slow = True
+                elif value in _FALSE:
+                    allow_slow = False
+                else:
+                    raise ScenarioSyntaxError(line_no, f"bad allow_slow {value!r}")
             else:
-                raise ScenarioSyntaxError(line_no, f"bad allow_slow {value!r}")
-        elif head.startswith("run_bits="):
-            try:
-                run_bits = int(value)
-            except ValueError:
-                raise ScenarioSyntaxError(line_no, "bad run_bits") from None
-            if run_bits < 0:
-                raise ScenarioSyntaxError(line_no, "run_bits must be non-negative")
+                try:
+                    run_bits = int(value)
+                except ValueError:
+                    raise ScenarioSyntaxError(line_no, "bad run_bits") from None
+                if run_bits < 0:
+                    raise ScenarioSyntaxError(line_no, "run_bits must be non-negative")
         elif head == "node":
             if len(parts) < 2:
                 raise ScenarioSyntaxError(line_no, "node line needs a name")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vcanlab.bus import INTERMISSION_BITS, Bus, BusConfig, EventKind, ScheduleEntry
 from vcanlab.codec import DOMINANT, RECESSIVE, TAIL_BITS, encode_frame, wire_plan
 from vcanlab.frame import data_frame, remote_frame
+from vcanlab.gateway import GatewaySession, format_serial_line
 from vcanlab.node import (ERROR_PASSIVE_LIMIT, RECOVERY_GROUP_BITS, RECOVERY_GROUPS,
                           AcceptanceFilter, NodeMode, NodeState, accepts)
 
@@ -105,22 +106,29 @@ def run_whole(scn, skip):
 
 
 def received_by_trace(nodes, trace, forced):
-    """Each node's received frames rebuilt from the trace: every delivered
-    frame its filter accepts, unless it sent that frame or was bus-off."""
+    """Each node's received frames rebuilt from the trace: one reception per
+    delivery bit, of a frame its filter accepts, unless it sent that frame or
+    was bus-off at any bit from the frame's SOF."""
     senders = {}
     for e in trace:
         if e.kind is EventKind.FRAME_DELIVERED:
             senders.setdefault(e.time_bits, set()).add(e.node)
     off = {name: forced is not None and name == forced[0] for name, _ in nodes}
+    recovered = {}
     received = {name: [] for name, _ in nodes}
     for e in trace:
         if e.kind in (EventKind.BUS_OFF_ENTERED, EventKind.BUS_OFF_RECOVERED):
             off[e.node] = e.kind is EventKind.BUS_OFF_ENTERED
-        elif e.kind is EventKind.FRAME_DELIVERED:
+            if not off[e.node]:
+                recovered[e.node] = e.time_bits
+        elif e.kind is EventKind.FRAME_DELIVERED and e.time_bits in senders:
+            sof = e.time_bits - INTERMISSION_BITS - wire_plan(e.frame).total_len
             for name, accept_filter in nodes:
                 if (name not in senders[e.time_bits] and not off[name]
+                        and recovered.get(name, -1) < sof
                         and (accept_filter is None or accepts(accept_filter, e.frame.id))):
                     received[name].append(e.frame)
+            del senders[e.time_bits]
     return [received[name] for name, _ in nodes]
 
 
@@ -235,6 +243,24 @@ def test_identical_senders_are_acked_by_a_third_node(monkeypatch, skip):
     assert partial == plan.total_len - 1 - plan.ack_idx
 
 
+@pytest.mark.parametrize("skip", [True, False])
+def test_identical_senders_are_received_once(monkeypatch, skip):
+    # One frame crossed the wire, so a third node receives it once and a
+    # gateway on that node writes one serial line, though each sender gets
+    # its own FrameDelivered.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    frame = data_frame(0x100, bytes(2))
+    bus = Bus(BusConfig())
+    bus.attach_node("a")
+    bus.attach_node("b")
+    session = GatewaySession(bus.attach_node("c"))
+    trace = bus.run([ScheduleEntry(0, "a", frame), ScheduleEntry(0, "b", frame)],
+                    2 * wire_plan(frame).total_len)
+    assert [e.node for e in trace if e.kind is EventKind.FRAME_DELIVERED] == ["a", "b"]
+    assert bus.nodes["c"].received == [frame]
+    assert session.pump() == format_serial_line(frame)
+
+
 def test_horizon_inside_a_frame():
     bus = Bus(BusConfig())
     bus.attach_node("a")
@@ -338,17 +364,37 @@ TAIL_AFTER_ACK = range(PLAN.ack_idx + 1, PLAN.total_len)
 def test_recovery_inside_a_lone_frames_tail(monkeypatch, skip, at):
     # The run stops at the ACK delimiter, where a third node is put one
     # group short of recovery, so that it recovers at bit ``at`` of the
-    # frame's recessive tail. Recovered before the last EOF bit, it receives
-    # the frame; that bit's delivery comes before its recovery credit.
+    # frame's recessive tail. It was bus-off at the frame's SOF, so it never
+    # receives the frame, wherever in the tail it recovers. The recovery is
+    # credited before the slot ends, so even at the last EOF bit its event
+    # is listed before the frame's delivery.
     monkeypatch.setattr(Bus, "_SKIP", skip)
     bus = lone_bus()
     ghost = bus.attach_node("ghost")
     first = bus.run([ScheduleEntry(0, "solo", LONE)], PLAN.ack_idx + 1)
     force_bus_off(ghost, RECOVERY_GROUPS - 1, RECOVERY_GROUP_BITS + PLAN.ack_idx - at)
     trace = first + bus.run([], 2 * PLAN.total_len)
-    assert recoveries(trace) == [("ghost", at)]
+    assert [(e.kind, e.node, e.time_bits) for e in trace] == [
+        (EventKind.TX_START, "solo", 0),
+        (EventKind.BUS_OFF_RECOVERED, "ghost", at),
+        (EventKind.FRAME_DELIVERED, "solo", PLAN.total_len + INTERMISSION_BITS)]
     assert bus.nodes["peer"].received == [LONE]
-    assert ghost.received == ([LONE] if at < PLAN.total_len - 1 else [])
+    assert ghost.received == []
+
+
+@pytest.mark.parametrize("skip", [True, False])
+def test_recovery_one_bit_before_sof_receives_the_frame(monkeypatch, skip):
+    # One group short, the ghost recovers at idle bit 10; a frame arriving at
+    # bit 11 starts there, with the ghost on the bus from its SOF.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus = lone_bus()
+    ghost = bus.attach_node("ghost")
+    force_bus_off(ghost, RECOVERY_GROUPS - 1)
+    trace = bus.run([ScheduleEntry(RECOVERY_GROUP_BITS, "solo", LONE)], 2 * PLAN.total_len)
+    assert recoveries(trace) == [("ghost", RECOVERY_GROUP_BITS - 1)]
+    starts = [(e.node, e.time_bits) for e in trace if e.kind is EventKind.TX_START]
+    assert starts == [("solo", RECOVERY_GROUP_BITS)]
+    assert ghost.received == bus.nodes["peer"].received == [LONE]
 
 
 @pytest.mark.parametrize("skip", [True, False])
