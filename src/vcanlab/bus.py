@@ -119,9 +119,11 @@ class ScheduleEntry:
 
 Schedule = Sequence[ScheduleEntry]
 
-# TraceEvent's generated __new__ is a Python function; Bus._emit passes all
+# TraceEvent's generated __new__ is a Python function; the bus passes all
 # five fields and builds its events with the tuple constructor directly.
 _new_event = tuple.__new__
+# A queue head's start event, by whether it was sent before (``attempted``).
+_START_KIND = (EventKind.TX_START, EventKind.RETRANSMIT)
 
 
 def resolve_bit(driven_levels: Sequence[int]) -> int:
@@ -187,12 +189,15 @@ class Bus:
         return node
 
     def inject_fault(self, at_bit: int, level: int) -> None:
-        """Override the resolved bus level at one bit time."""
+        """Override the resolved bus level at one bit time not yet simulated."""
         if level not in _BUS_LEVELS:
             raise ValueError(
                 f"fault level must be {DOMINANT} or {RECESSIVE}, got {level!r}")
         if at_bit < 0:
             raise ValueError(f"fault bit must be non-negative, got {at_bit}")
+        if at_bit < self._t:
+            raise ValueError(
+                f"fault bit {at_bit} already simulated: the bus stands at {self._t}")
         if at_bit not in self._faults:
             bisect.insort(self._fault_bits, at_bit)
         self._faults[at_bit] = level
@@ -203,13 +208,17 @@ class Bus:
 
     # -- trace helpers ---------------------------------------------------
 
-    def _emit(self, kind: EventKind, node: Optional[str], frame: Optional[Frame],
-              time_bits: int) -> None:
+    def _stamp(self, time_bits: int) -> float:
+        """The ``time_s`` of events at ``time_bits``, one float per bit time."""
         if time_bits != self._emit_bits:
             self._emit_bits = time_bits
             self._emit_s = time_bits / self.config.bitrate_bps
+        return self._emit_s
+
+    def _emit(self, kind: EventKind, node: Optional[str], frame: Optional[Frame],
+              time_bits: int) -> None:
         self._events.append(_new_event(
-            TraceEvent, (time_bits, self._emit_s, node, kind, frame)))
+            TraceEvent, (time_bits, self._stamp(time_bits), node, kind, frame)))
 
     def _apply_counter(self, node: Node, event: CounterEvent, t: int) -> None:
         old = node.state
@@ -304,8 +313,12 @@ class Bus:
 
         Returns the trace events generated during this call; repeated calls
         continue from where the previous one stopped. No bit at or past
-        ``until_bits`` is simulated, so the bus then stands at ``until_bits``.
+        ``until_bits`` is simulated, so the bus then stands at ``until_bits``;
+        a horizon behind ``now`` raises ``ValueError`` and changes nothing.
         """
+        if until_bits < self._t:
+            raise ValueError(
+                f"horizon {until_bits} is behind the bus, which stands at {self._t}")
         items = []
         for entry in schedule:
             if entry.node not in self.nodes:
@@ -341,21 +354,22 @@ class Bus:
         if self._active:
             return self._tx_bit(t, until_bits)
         if not self._interm:
-            starters = [n for n in self._order
-                        if n.queue and n.state.mode is not NodeMode.BUS_OFF]
+            off = self._bus_off
+            starters = [n.queue[0] for n in self._order if n.queue and n not in off]
             if starters:
+                time_s = self._stamp(t)
+                self._events += [_new_event(TraceEvent, (
+                    t, time_s, entry.node.name, _START_KIND[entry.attempted], entry.frame))
+                    for entry in starters]
                 plans = self._plans
-                for n in starters:
-                    entry = n.queue[0]
-                    kind = EventKind.RETRANSMIT if entry.attempted else EventKind.TX_START
+                for entry in starters:
                     entry.attempted = True
-                    self._emit(kind, n.name, entry.frame, t)
                     if entry.enc is None:
                         plan = plans.get(entry.frame)
                         if plan is None:
                             plan = plans[entry.frame] = codec.wire_plan(entry.frame)
                         entry.enc = plan
-                    self._active.append(entry)
+                self._active = starters
                 self._start, self._k = t, 0
                 return self._tx_bit(t, until_bits)
 
@@ -433,17 +447,26 @@ class Bus:
         error = False
         # At the ACK slot every transmitter stays on the wire, whatever the
         # bus shows; elsewhere one whose level differs from the bus's drops out.
-        still = active if ack_bit else [
-            entry for entry, level in zip(active, driven) if level == resolved]
-        if len(still) < len(active):
-            for entry, level in zip(active, driven):
-                if level == resolved:
-                    continue
-                if k <= entry.enc.arb_end and fault is None:
-                    self._emit(EventKind.ARBITRATION_LOST, entry.node.name, entry.frame, t)
-                else:
-                    self._emit(EventKind.ERROR_FRAME, entry.node.name, entry.frame, t)
-                    error = True
+        if ack_bit or driven.count(resolved) == len(active):
+            still = active
+        else:
+            still = [entry for entry, level in zip(active, driven) if level == resolved]
+            # Without a fault every loser drove recessive under a dominant bus.
+            # All transmitters sent identical bits so far, so they stuff alike
+            # and lose only at a frame bit. Before the IDE bit every frame is
+            # inside its arbitration field and at it only extended frames lose;
+            # past it all share one format, so an arbitration field that ended
+            # before this bit ended there for all of them. Hence the losers at
+            # one bit are all inside their arbitration field or all past it.
+            if fault is None and k <= active[driven.index(RECESSIVE)].enc.arb_end:
+                kind = EventKind.ARBITRATION_LOST
+            else:
+                kind = EventKind.ERROR_FRAME
+                error = True
+            time_s = self._stamp(t)
+            self._events += [
+                _new_event(TraceEvent, (t, time_s, entry.node.name, kind, entry.frame))
+                for entry, level in zip(active, driven) if level != resolved]
 
         if ack_bit and resolved == RECESSIVE:
             for entry in active:
@@ -485,6 +508,9 @@ class Bus:
         start = self._start
         deliver_t = start + still[0].enc.total_len + INTERMISSION_BITS
         senders = {entry.node for entry in still}
+        # Neither a transmit nor a receive success sends a node bus-off, so
+        # one set names every node that does not receive.
+        skip = senders | self._bus_off if self._bus_off else senders
         for entry in still:
             entry.node.queue.remove(entry)
             self._apply_counter(entry.node, CounterEvent.TX_SUCCESS, t)
@@ -492,8 +518,7 @@ class Bus:
         # update_counters returns the state unchanged for RX_SUCCESS at
         # rec == 0, so only receivers with rec > 0 need the call.
         for n in self._order:
-            if (n.state.rec and n not in senders
-                    and n.state.mode is not NodeMode.BUS_OFF):
+            if n.state.rec and n not in skip:
                 self._apply_counter(n, CounterEvent.RX_SUCCESS, t)
         frame = still[0].frame
         receivers = self._receivers.get(frame.id)
@@ -505,7 +530,7 @@ class Bus:
             recovered_at = self._recovered_at
             receivers = [n for n in receivers if recovered_at.get(n, -1) < start]
         for n in receivers:
-            if n not in senders and n.state.mode is not NodeMode.BUS_OFF:
+            if n not in skip:
                 n.received.append(frame)
         for entry in still:
             self._emit(EventKind.FRAME_DELIVERED, entry.node.name, entry.frame, deliver_t)

@@ -6,11 +6,12 @@ from vcanlab.bus import (Bus, BusConfig, DuplicateNameError, EventKind,
                          RateDistanceError, RateRangeError, ScheduleEntry,
                          ScheduleForDetachedNodeError, TooManyNodesError,
                          TraceEvent, resolve_bit, validate_bus_config)
-from vcanlab.codec import DOMINANT, RECESSIVE, frame_bit_length
-from vcanlab.frame import Frame, FrameId, FrameKind, data_frame
+from vcanlab.codec import (DOMINANT, RECESSIVE, frame_bit_length, frame_body_bits,
+                           stuff)
+from vcanlab.frame import Frame, FrameId, FrameKind, data_frame, remote_frame
 from vcanlab.node import AcceptanceFilter, NodeMode
 
-from oracles import arbitration_winner, random_frame
+from oracles import arbitration_winner, drive_pattern, random_frame
 
 
 def kinds(trace):
@@ -218,6 +219,23 @@ class TestRun:
         bus.run([ScheduleEntry(200, "a", frame)], 400)
         assert b.received == [frame]
 
+    def test_horizon_behind_the_bus_is_rejected(self):
+        bus = Bus(BusConfig())
+        bus.attach_node("a")
+        bus.attach_node("b")
+        with pytest.raises(ValueError):
+            bus.run([], -5)
+        assert bus.run([], 100) == []
+        for horizon in (50, 99, -5):
+            with pytest.raises(ValueError):
+                bus.run([ScheduleEntry(0, "a", data_frame(0x100, b""))], horizon)
+        # A refused call changes nothing: no bit is simulated and its
+        # schedule is not merged.
+        assert bus.now == 100
+        assert bus.run([], 100) == []
+        assert bus.run([], 5_000) == []
+        assert bus.nodes["b"].received == []
+
     def test_later_arrival_waits_for_idle(self):
         bus = Bus(BusConfig())
         bus.attach_node("a")
@@ -305,6 +323,18 @@ class TestFaultInjection:
         bus.inject_fault(0, DOMINANT)
         assert bus._faults == {0: DOMINANT}
 
+    def test_fault_bit_must_not_be_simulated_yet(self):
+        bus = Bus(BusConfig())
+        bus.attach_node("a")
+        bus.run([], 100)
+        for bit in (50, 99):
+            with pytest.raises(ValueError):
+                bus.inject_fault(bit, DOMINANT)
+        assert bus._faults == {}
+        bus.inject_fault(100, DOMINANT)
+        assert [(e.kind, e.time_bits) for e in bus.run([], 200)] == [
+            (EventKind.FAULT_INJECTED, 100)]
+
     def test_sixteen_corrupted_attempts_reach_error_passive(self):
         frame = data_frame(0x123, bytes(range(8)))
         from vcanlab.codec import encode_frame
@@ -319,3 +349,75 @@ class TestFaultInjection:
         victim = bus.nodes["victim"]
         assert victim.state.tec == 128
         assert victim.state.mode is NodeMode.ERROR_PASSIVE
+
+
+def crowded_frames():
+    """110 frames with distinct arbitration fields, standard and extended.
+
+    Six pairs meet at the edges of the arbitration field, each kind of pair
+    once in each attach order (first members attached first, second members
+    last): a standard data and remote frame with one id split at RTR, and a
+    standard data or remote frame and an extended frame that share the top
+    11 id bits split at SRR or at IDE.
+    """
+    rng = random.Random(110)
+    pairs = [(data_frame(0x2A5, b"\x01"), remote_frame(0x2A5, 1)),
+             (remote_frame(0x3C1, 2), data_frame(0x3C1, b"")),
+             (data_frame(0x0F0, b""), data_frame((0x0F0 << 18) | 0x155, b"\x02", True)),
+             (data_frame((0x071 << 18) | 0x0AA, b"", True), data_frame(0x071, b"\x03")),
+             (remote_frame(0x1B3, 0), data_frame((0x1B3 << 18) | 0x2AA, b"", True)),
+             (remote_frame((0x0C7 << 18) | 0x03F, 4, True), remote_frame(0x0C7, 4))]
+    taken = {f.id.value >> 18 if f.id.extended else f.id.value for pair in pairs for f in pair}
+    std = rng.sample(sorted(set(range(0x800)) - taken), 49)
+    ext = [v for v in rng.sample(range(1 << 29), 60) if v >> 18 not in taken][:49]
+    others = []
+    for value, extended in [(v, False) for v in std] + [(v, True) for v in ext]:
+        if rng.random() < 0.2:
+            others.append(remote_frame(value, rng.randrange(9), extended))
+        else:
+            payload = bytes(rng.randrange(256) for _ in range(rng.randrange(9)))
+            others.append(data_frame(value, payload, extended))
+    rng.shuffle(others)
+    return [a for a, _ in pairs] + others + [b for _, b in pairs]
+
+
+@pytest.mark.parametrize("skip", [True, False])
+def test_crowded_slots_match_the_arbitration_oracle(monkeypatch, skip):
+    # Every slot of a 110-node backlog, event for event: a start event per
+    # node still queued in attach order, the losers in order of the bit they
+    # lose at (attach order within one bit), then the oracle's winner.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    frames = crowded_frames()
+    bus = Bus(BusConfig())
+    names = [f"n{i:03d}" for i in range(len(frames))]
+    for name in names:
+        bus.attach_node(name)
+    trace = bus.run([ScheduleEntry(0, name, frame)
+                     for name, frame in zip(names, frames)], 40_000)
+    streams = {name: stuff(frame_body_bits(frame)) for name, frame in zip(names, frames)}
+
+    def split_bit(a, b):
+        return next(i for i, (x, y) in enumerate(zip(streams[a], streams[b])) if x != y)
+
+    got = [(e.time_bits, e.node, e.kind, e.frame) for e in trace]
+    want = []
+    queued = list(zip(names, frames))
+    start = 0
+    kind = EventKind.TX_START
+    while queued:
+        winner, frame = queued[arbitration_winner([f for _, f in queued])]
+        want += [(start, name, kind, f) for name, f in queued]
+        lost = sorted((split_bit(name, winner), i, name, f)
+                      for i, (name, f) in enumerate(queued) if name != winner)
+        want += [(start + bit, name, EventKind.ARBITRATION_LOST, f)
+                 for bit, _, name, f in lost]
+        start += frame_bit_length(frame, stuffed=True) + 3
+        want.append((start, winner, EventKind.FRAME_DELIVERED, frame))
+        queued.remove((winner, frame))
+        kind = EventKind.RETRANSMIT
+    assert got == want
+    assert [e.frame for e in delivered(trace)] == sorted(frames, key=drive_pattern)
+    # Every frame reaches each node but its sender, once.
+    for name, frame in zip(names, frames):
+        others = [f for other, f in zip(names, frames) if other != name]
+        assert sorted(bus.nodes[name].received, key=frames.index) == others
