@@ -113,6 +113,8 @@ class ScheduleEntry:
     frame: Frame
 
     def __post_init__(self) -> None:
+        if not isinstance(self.time_us, int):
+            raise TypeError(f"schedule time must be an integer, got {self.time_us!r}")
         if self.time_us < 0:
             raise ValueError("schedule times must be non-negative")
 
@@ -129,6 +131,18 @@ _START_KIND = (EventKind.TX_START, EventKind.RETRANSMIT)
 def resolve_bit(driven_levels: Sequence[int]) -> int:
     """Wired-AND: dominant wins; an undriven bus idles recessive."""
     return DOMINANT if DOMINANT in driven_levels else RECESSIVE
+
+
+def _first_bits(runs: Sequence[int], n: int) -> List[int]:
+    """The runs of the first ``n`` bits of a stretch laid out as ``runs``."""
+    head = []
+    for run in runs:
+        if run >= n:
+            head.append(n)
+            break
+        head.append(run)
+        n -= run + 1
+    return head
 
 
 class Bus:
@@ -160,10 +174,9 @@ class Bus:
         # Accepting nodes by frame id, in attach order, built on the id's
         # first delivery in a run() call.
         self._receivers: Dict[FrameId, List[Node]] = {}
-        # The bit at which each node last recovered from bus-off, and the
-        # latest such bit of any node.
-        self._recovered_at: Dict[Node, int] = {}
-        self._last_recovery = -1
+        # Nodes that recovered from bus-off since the last SOF: they missed
+        # it, so they do not receive the frame of the slot in progress.
+        self._missed: Set[Node] = set()
         # Events at the same bit time share one time_s float.
         self._emit_bits = -1
         self._emit_s = 0.0
@@ -190,6 +203,8 @@ class Bus:
 
     def inject_fault(self, at_bit: int, level: int) -> None:
         """Override the resolved bus level at one bit time not yet simulated."""
+        if not isinstance(at_bit, int):
+            raise TypeError(f"fault bit must be an integer, got {at_bit!r}")
         if level not in _BUS_LEVELS:
             raise ValueError(
                 f"fault level must be {DOMINANT} or {RECESSIVE}, got {level!r}")
@@ -231,67 +246,44 @@ class Bus:
             self._bus_off.add(node)
             self._emit(EventKind.BUS_OFF_ENTERED, node.name, None, t)
 
-    def _recovery_tick(self, resolved: int, t: int) -> bool:
-        """Credit bit ``t``'s level to each bus-off node; return whether one
-        recovered at it."""
-        if not self._bus_off:
-            return False
-        recovered = False
-        for node in self._order:
-            if node.state.mode is not NodeMode.BUS_OFF:
-                continue
-            if resolved != RECESSIVE:
-                node.partial_recessive = 0
-                continue
-            node.partial_recessive += 1
-            if node.partial_recessive == RECOVERY_GROUP_BITS:
-                node.partial_recessive = 0
-                node.state = observe_recovery(node.state, RECOVERY_GROUP_BITS)
-                if node.state.mode is not NodeMode.BUS_OFF:
-                    self._bus_off.discard(node)
-                    self._recovered_at[node] = self._last_recovery = t
-                    self._emit(EventKind.BUS_OFF_RECOVERED, node.name, None, t)
-                    recovered = True
-        return recovered
+    def _credit(self, runs: Sequence[int], t: int) -> int:
+        """Credit the bits from ``t`` on to each bus-off node's recovery count,
+        and return how many were credited.
 
-    def _credit_skip(self, runs: List[int]) -> int:
-        """Credit a stretch of bits about to be skipped to each bus-off node's
-        recovery count, and return how many of its bits to skip.
-
-        ``runs`` are the lengths of the stretch's recessive runs in order, each
-        separated from the next by one dominant bit. The skip stops before the
-        first bit at which a bus-off node would complete its last recovery
-        group, so that bit is stepped and its recovery emitted as usual.
+        ``runs`` are the lengths of the recessive runs in order, one dominant
+        bit between each two, so one bit is ``(1,)`` or ``(0, 0)``. The credit
+        ends with the first bit at which a node completes its last group; the
+        nodes that do so there rejoin the bus, in attach order.
         """
         n = sum(runs) + len(runs) - 1
-        off = self._bus_off
-        for node in off:
-            groups = node.state.recessive_run_groups
-            partial = node.partial_recessive
-            at = 0  # index of the run's first bit in the stretch
-            for run in runs:
-                need = (RECOVERY_GROUPS - groups) * RECOVERY_GROUP_BITS - partial
-                if run >= need:
-                    n = min(n, at + need - 1)
-                    break
-                groups += (partial + run) // RECOVERY_GROUP_BITS
-                partial = 0
-                at += run + 1
-        # A dominant bit ends a run and restarts the partial count; only
-        # recessive runs of 11 bits complete a group.
-        for node in off:
+        counts = []
+        for node in self._bus_off:
             state = node.state
             partial = node.partial_recessive
-            left = n
+            used = 0  # bits before this run
             for run in runs:
-                if left <= run:
-                    break
-                state = observe_recovery(state, partial + run)
-                partial = 0
-                left -= run + 1
-            partial += left
-            node.state = observe_recovery(state, partial)
-            node.partial_recessive = partial % RECOVERY_GROUP_BITS
+                end = partial + run
+                if end >= RECOVERY_GROUP_BITS:  # a group completes
+                    need = ((RECOVERY_GROUPS - state.recessive_run_groups)
+                            * RECOVERY_GROUP_BITS - partial)
+                    if run >= need and used + need < n:
+                        # It recovers inside the stretch: credit that far.
+                        return self._credit(_first_bits(runs, used + need), t)
+                    state = observe_recovery(state, end)
+                used += run + 1
+                partial = 0  # the dominant bit after a run restarts the count
+            counts.append((node, state, end % RECOVERY_GROUP_BITS))
+        rejoined = []
+        for node, state, partial in counts:
+            node.state, node.partial_recessive = state, partial
+            if state.mode is not NodeMode.BUS_OFF:
+                rejoined.append(node)
+        if rejoined:
+            rejoined.sort(key=self._order.index)
+            self._bus_off.difference_update(rejoined)
+            self._missed.update(rejoined)
+            for node in rejoined:
+                self._emit(EventKind.BUS_OFF_RECOVERED, node.name, None, t + n - 1)
         return n
 
     def _acked(self, active: List[QueuedFrame]) -> bool:
@@ -314,8 +306,11 @@ class Bus:
         Returns the trace events generated during this call; repeated calls
         continue from where the previous one stopped. No bit at or past
         ``until_bits`` is simulated, so the bus then stands at ``until_bits``;
-        a horizon behind ``now`` raises ``ValueError`` and changes nothing.
+        a horizon behind ``now`` raises ``ValueError``, and one that is not an
+        integer ``TypeError``; either changes nothing.
         """
+        if not isinstance(until_bits, int):
+            raise TypeError(f"horizon must be an integer, got {until_bits!r}")
         if until_bits < self._t:
             raise ValueError(
                 f"horizon {until_bits} is behind the bus, which stands at {self._t}")
@@ -371,30 +366,28 @@ class Bus:
                         entry.enc = plan
                 self._active = starters
                 self._start, self._k = t, 0
+                self._missed.clear()
                 return self._tx_bit(t, until_bits)
 
         # Intermission or idle: only a fault drives the bus. Idle means every
         # queue of a node on the bus is empty, so the bus may jump to the next
         # arrival, fault or horizon, crediting the recessive bits it skips to
-        # the bus-off nodes. A node that recovered at this bit may hold a
-        # queued frame, so then the next bit is stepped.
-        skip = self._SKIP and not self._interm
+        # the bus-off nodes. A node that recovers in that stretch may hold a
+        # queued frame, so the jump ends with the bit it recovers at.
         resolved = self._faults.get(t, RECESSIVE)
         if t in self._faults:
             self._emit(EventKind.FAULT_INJECTED, None, None, t)
-        if self._recovery_tick(resolved, t):
-            skip = False
+        n = 1
         if self._interm:
             self._interm -= 1
-        if skip:
+        elif self._SKIP:
             nxt = min(until_bits, self._next_fault(t + 1))
             if self._pending:
                 nxt = min(nxt, self._pending[0][0])
-            if nxt > t + 1 and self._bus_off:
-                nxt = t + 1 + self._credit_skip([nxt - t - 1])
-            self._t = max(t + 1, nxt)
-        else:
-            self._t = t + 1
+            n = nxt - t
+        if self._bus_off:
+            n = self._credit((n,) if resolved == RECESSIVE else (0, n - 1), t)
+        self._t = t + n
 
     def _end_slot(self, t: int) -> None:
         self._active = []
@@ -405,7 +398,7 @@ class Bus:
         active = self._active
         k = self._k
         # Skip ahead through a lone, fault-free frame: only a bus-off node's
-        # recovery can change a mode inside it, and the skip stops before that.
+        # recovery can change a mode inside it, and the skip ends with that.
         # Stop at the ACK slot unless another node will ACK, else go to the
         # last EOF bit, and never reach the horizon, so the run that decided
         # the ACK also simulates it.
@@ -419,12 +412,16 @@ class Bus:
                     target = plan.total_len - 1
                 target = min(target, k + until_bits - 1 - t)
                 if target > k and self._bus_off:
+                    # A frame that arrives for a bus-off node is dropped, so no
+                    # recovery is credited before the arrivals up to its bit.
+                    if self._pending:
+                        target = min(target, k + self._pending[0][0] - t)
                     # An ACK slot inside the stretch is another node's ACK.
                     levels = plan.stream[k:target]
                     if k <= ack < target:
                         levels = levels[:ack - k] + _DOMINANT_BIT + levels[ack - k + 1:]
-                    target = k + self._credit_skip(
-                        [len(run) for run in levels.split(_DOMINANT_BIT)])
+                    target = k + self._credit(
+                        [len(run) for run in levels.split(_DOMINANT_BIT)], t)
                 if target > k:
                     t += target - k
                     k = self._k = target
@@ -476,7 +473,8 @@ class Bus:
         # Recovery credit for this bit goes to nodes already bus-off before
         # any counter update, so a node that goes bus-off at it starts its
         # 128x11 recessive count on the following bit.
-        self._recovery_tick(resolved, t)
+        if self._bus_off:
+            self._credit((1,) if resolved == RECESSIVE else (0, 0), t)
         if error:
             return self._fail(active, t)
         if not still:
@@ -493,11 +491,11 @@ class Bus:
     def _fail(self, active: List[QueuedFrame], t: int) -> None:
         """End the slot with an error at bit ``t``: each transmitter books a
         transmit error, every other node on the bus a receive error."""
-        senders = {entry.node for entry in active}
+        skip = {entry.node for entry in active} | self._bus_off
         for entry in active:
             self._apply_counter(entry.node, CounterEvent.TX_ERROR, t)
         for n in self._order:
-            if n not in senders and n.state.mode is not NodeMode.BUS_OFF:
+            if n not in skip:
                 self._apply_counter(n, CounterEvent.RX_ERROR, t)
         self._end_slot(t)
 
@@ -505,12 +503,10 @@ class Bus:
         """End the slot at the frame's last EOF bit ``t``: each transmitter's
         queue head is sent, and each accepting node that is not a transmitter
         and was on the bus at every bit from SOF receives the frame once."""
-        start = self._start
-        deliver_t = start + still[0].enc.total_len + INTERMISSION_BITS
-        senders = {entry.node for entry in still}
+        deliver_t = self._start + still[0].enc.total_len + INTERMISSION_BITS
         # Neither a transmit nor a receive success sends a node bus-off, so
         # one set names every node that does not receive.
-        skip = senders | self._bus_off if self._bus_off else senders
+        skip = {entry.node for entry in still} | self._bus_off | self._missed
         for entry in still:
             entry.node.queue.remove(entry)
             self._apply_counter(entry.node, CounterEvent.TX_SUCCESS, t)
@@ -525,10 +521,6 @@ class Bus:
         if receivers is None:
             receivers = self._receivers[frame.id] = [
                 n for n in self._order if n.accepts(frame.id)]
-        if self._last_recovery >= start:
-            # A node that recovered inside the frame missed its SOF.
-            recovered_at = self._recovered_at
-            receivers = [n for n in receivers if recovered_at.get(n, -1) < start]
         for n in receivers:
             if n not in skip:
                 n.received.append(frame)

@@ -5,13 +5,15 @@ oracle is polynomial long division over GF(2) on a big integer (the codec uses
 a table-driven shift register), and the arbitration oracle compares drive
 patterns bit by bit. The decoder walks the bits one at a time, where the
 codec scans strings, and the serial-line parser checks and converts hex one
-character and one byte at a time, where the gateway checks whole fields.
+character and one byte at a time, where the gateway checks whole fields. The
+bus-off recovery count ticks one bus level at a time, where the bus credits
+whole runs of recessive bits.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from vcanlab.codec import (CRC_WIDTH, DOMINANT, EOF_BITS, RECESSIVE, TAIL_BITS,
                            CrcError, FormError, StuffError, TruncatedError,
@@ -70,6 +72,38 @@ def arbitration_winner(frames: Sequence[Frame]) -> int:
         if len(alive) == 1:
             break
     return alive[0]
+
+
+# A bus-off node rejoins after 128 groups of 11 consecutive recessive bits.
+GROUP_BITS = 11
+GROUPS = 128
+
+
+def tick_recovery(counts: Sequence[Tuple[int, int]], levels: Sequence[int]
+                  ) -> Tuple[int, List[Tuple[int, int]], List[int]]:
+    """Tick bus ``levels`` one at a time through bus-off nodes' recovery
+    ``counts``, each (groups completed, recessive bits toward the next), up
+    to the first bit at which a node completes its last group.
+
+    Returns the number of bits ticked, each node's count after them, and the
+    indices of the nodes that recovered at the last of them, in order.
+    """
+    counts = [list(count) for count in counts]
+    for ticked, level in enumerate(levels, start=1):
+        recovered = []
+        for i, count in enumerate(counts):
+            if level == DOMINANT:
+                count[1] = 0
+                continue
+            count[1] += 1
+            if count[1] == GROUP_BITS:
+                count[0] += 1
+                count[1] = 0
+                if count[0] == GROUPS:
+                    recovered.append(i)
+        if recovered:
+            return ticked, [tuple(count) for count in counts], recovered
+    return len(levels), [tuple(count) for count in counts], []
 
 
 def longest_run(bits: Sequence[int]) -> int:

@@ -7,9 +7,9 @@ from vcanlab.bus import (Bus, BusConfig, DuplicateNameError, EventKind,
                          ScheduleForDetachedNodeError, TooManyNodesError,
                          TraceEvent, resolve_bit, validate_bus_config)
 from vcanlab.codec import (DOMINANT, RECESSIVE, frame_bit_length, frame_body_bits,
-                           stuff)
+                           stuff, wire_plan)
 from vcanlab.frame import Frame, FrameId, FrameKind, data_frame, remote_frame
-from vcanlab.node import AcceptanceFilter, NodeMode
+from vcanlab.node import AcceptanceFilter, NodeMode, NodeState
 
 from oracles import arbitration_winner, drive_pattern, random_frame
 
@@ -236,6 +236,24 @@ class TestRun:
         assert bus.run([], 5_000) == []
         assert bus.nodes["b"].received == []
 
+    def test_bit_times_must_be_integers(self):
+        # A fractional time would leave the bus between two bits.
+        bus = Bus(BusConfig())
+        bus.attach_node("a")
+        bus.attach_node("b")
+        frame = data_frame(0x100, b"")
+        for time_us in (2.5, 3.0, "3"):
+            with pytest.raises(TypeError):
+                ScheduleEntry(time_us, "a", frame)
+        for horizon in (50.5, 100.0):
+            with pytest.raises(TypeError):
+                bus.run([ScheduleEntry(0, "a", frame)], horizon)
+        # A refused call changes nothing: no bit is simulated and its
+        # schedule is not merged.
+        assert bus.now == 0
+        assert bus.run([], 100) == []
+        assert type(bus.now) is int and bus.now == 100
+
     def test_later_arrival_waits_for_idle(self):
         bus = Bus(BusConfig())
         bus.attach_node("a")
@@ -301,6 +319,21 @@ class TestFaultInjection:
         assert ks.index(EventKind.RETRANSMIT) < ks.index(EventKind.FRAME_DELIVERED)
         assert bus.nodes["tx"].state.tec == 7  # +8 error, -1 on success
 
+    def test_bus_off_node_books_no_receive_error(self):
+        # A failed slot costs every other node on the bus a receive error,
+        # but not a node that is bus-off.
+        bus = Bus(BusConfig())
+        bus.attach_node("tx")
+        rx = bus.attach_node("rx")
+        off = bus.attach_node("off")
+        off.state = NodeState(tec=256, mode=NodeMode.BUS_OFF)
+        frame = data_frame(0x123, b"\xde\xad")
+        pos = 30  # inside the data region
+        bus.inject_fault(pos, wire_plan(frame).stream[pos] ^ 1)
+        trace = bus.run([ScheduleEntry(0, "tx", frame)], pos + 1)
+        assert kinds(trace)[-1] is EventKind.ERROR_FRAME
+        assert (rx.state.rec, off.state) == (1, NodeState(tec=256, mode=NodeMode.BUS_OFF))
+
     def test_fault_during_idle_is_inert(self):
         bus = Bus(BusConfig())
         bus.attach_node("a")
@@ -322,6 +355,15 @@ class TestFaultInjection:
             bus.inject_fault(-1, DOMINANT)
         bus.inject_fault(0, DOMINANT)
         assert bus._faults == {0: DOMINANT}
+
+    def test_fault_bit_must_be_an_integer(self):
+        bus = Bus(BusConfig())
+        bus.attach_node("a")
+        for bit in (10.5, 10.0):
+            with pytest.raises(TypeError):
+                bus.inject_fault(bit, DOMINANT)
+        assert bus._faults == {}
+        assert bus.run([], 100) == []
 
     def test_fault_bit_must_not_be_simulated_yet(self):
         bus = Bus(BusConfig())
