@@ -63,7 +63,10 @@ def validate_bus_config(bitrate_bps: int, distance_m: float,
 
     Bitrates below 20 kbps are accepted only with ``allow_slow`` (long-haul
     operation down to 5 kbps over 10 km); the product rule applies regardless.
+    The bitrate must be an integer: arrival bits and event times follow its type.
     """
+    if not isinstance(bitrate_bps, int):
+        raise TypeError(f"bitrate must be an integer, got {bitrate_bps!r}")
     if not (bitrate_bps > 0 and distance_m > 0):  # also rejects NaN
         raise RateRangeError("bitrate and distance must be positive")
     if bitrate_bps > MAX_BITRATE_BPS:

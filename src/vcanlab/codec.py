@@ -4,12 +4,14 @@ Serialization, bit stuffing, the 15-bit CRC and decoding with a full error
 taxonomy. Bitstreams are plain lists of ints where dominant = 0 and
 recessive = 1.
 
-:func:`wire_plan` lays a frame out for the wire on strings and integers; the
-bus and :func:`encode_frame` both use it. :func:`frame_body_bits`,
-:func:`crc15`, :func:`stuff` and :func:`stuff_with_positions` are the
-bit-serial list forms of the same rules, the reference the tests check
-:func:`wire_plan` against. :func:`decode_frame` destuffs and parses on
-strings as well.
+:func:`wire_plan` lays a frame out for the wire; the bus and
+:func:`encode_frame` both use it. It computes the CRC over SOF through the
+data as one integer and stuffs a byte at a time through a table of the 9
+stuffing states. :func:`frame_body_bits`, :func:`crc15`, :func:`stuff` and
+:func:`stuff_with_positions` are the bit-serial list forms of the same
+rules, the reference the tests check :func:`wire_plan` against; the
+stuffing table is built from :func:`stuff_with_positions`.
+:func:`decode_frame` destuffs and parses on ``'0'/'1'`` strings.
 """
 
 from __future__ import annotations
@@ -215,69 +217,97 @@ class WirePlan:
 
 
 _RUN5 = re.compile("0{5}|1{5}")
-_FLIP = {"0": "1", "1": "0"}
-_TO_LEVELS = str.maketrans("01", "\x00\x01")
 # Levels 0 and 1 as '0' and '1'; any other byte as 'x', which is neither.
 _TO_CHARS = bytes.maketrans(bytes(range(256)), b"01" + b"x" * 254)
-_TAIL = "1" * TAIL_BITS
+_TAIL = bytes((RECESSIVE,)) * TAIL_BITS
 
 
-def _crc15_of(bits: str) -> int:
-    """:func:`crc15` of a ``'0'/'1'`` string."""
+def _crc15_int(value: int, nbits: int) -> int:
+    """:func:`crc15` of the ``nbits`` low bits of ``value``, MSB first."""
     # Leading zero bits keep a zero-initialised CRC at 0, so padding the
     # bits to whole bytes on the left leaves the CRC unchanged.
     crc = 0
     table = _CRC_TABLE
-    for byte in int(bits, 2).to_bytes((len(bits) + 7) // 8, "big"):
-        crc = ((crc << 8) ^ table[((crc >> 7) ^ byte) & 0xFF]) & 0x7FFF
+    for byte in value.to_bytes((nbits + 7) >> 3, "big"):
+        crc = (crc << 8 & 0x7FFF) ^ table[(crc >> 7) ^ byte]
     return crc
 
 
+def _build_stuff_table() -> List[list]:
+    """Bit stuffing a byte at a time, from :func:`stuff_with_positions`.
+
+    A stuffing state is the run of equal levels the output ends in: none
+    yet, or 1 to 4 of either level. Each state has a row of 256 entries, one
+    per input byte: the byte's output levels as ``bytes`` (stuff bits
+    included), the row of the state after it, and the offsets (0 = MSB) of
+    the byte's bits that are followed by a stuff bit. Returns the row of the
+    initial state.
+    """
+    states = [()] + [(level,) * count for level in (0, 1) for count in range(1, 5)]
+    rows: dict = {state: [] for state in states}
+    shared: dict = {}  # one object for each distinct levels and offsets value
+    for state, row in rows.items():
+        for byte in range(256):
+            bits = [(byte >> i) & 1 for i in range(7, -1, -1)]
+            # A run of at most 4 levels is never stuffed: drop it from the output.
+            out, positions = stuff_with_positions([*state, *bits])
+            out = out[len(state):]
+            ends = [p - len(state) for p in positions[len(state):]] + [len(out)]
+            offsets = tuple(i for i in range(8) if ends[i + 1] - ends[i] == 2)
+            run = 1  # the run the output ends in: at most 4, all in ``out``
+            while out[-1 - run] == out[-1]:
+                run += 1
+            row.append((shared.setdefault(bytes(out), bytes(out)),
+                        rows[(out[-1],) * run],
+                        shared.setdefault(offsets, offsets)))
+    return rows[()]
+
+
+_STUFF_START = _build_stuff_table()
+
+
 def wire_plan(frame: Frame) -> WirePlan:
-    """Lay out ``frame`` for the wire: :func:`frame_body_bits`, its
-    :func:`crc15`, :func:`stuff` over both and the recessive tail, computed on
-    a ``'0'/'1'`` string and integers."""
+    """Lay out ``frame`` for the wire: :func:`frame_body_bits` and its
+    :func:`crc15` as one integer, stuffed a byte at a time through a table
+    built from :func:`stuff_with_positions`, then the recessive tail."""
     v = frame.id.value
-    data = frame.kind is FrameKind.DATA
-    rtr = "0" if data else "1"
+    dlc = frame.dlc
+    rtr = 0 if frame.kind is FrameKind.DATA else 1
     if frame.id.extended:
-        body = f"0{v >> 18:011b}11{v & 0x3FFFF:018b}{rtr}00{frame.dlc:04b}"
+        # SOF ID[28:18] SRR IDE ID[17:0] RTR r1 r0 DLC
+        body = (v >> 18) << 27 | 3 << 25 | (v & 0x3FFFF) << 7 | rtr << 6 | dlc
+        body_len = _EXT_HEADER_BITS
         arb = EXT_ARBITRATION_END
     else:
-        body = f"0{v:011b}{rtr}00{frame.dlc:04b}"
+        body = v << 7 | rtr << 6 | dlc  # SOF ID RTR IDE r0 DLC
+        body_len = _STD_HEADER_BITS
         arb = STD_ARBITRATION_END
-    if data and frame.payload:
-        body += f"{int.from_bytes(frame.payload, 'big'):0{8 * frame.dlc}b}"
+    if not rtr and dlc:
+        body = body << 8 * dlc | int.from_bytes(frame.payload, "big")
+        body_len += 8 * dlc
+    crc = _crc15_int(body, body_len)
 
-    crc = _crc15_of(body)
-    region = f"{body}{crc:015b}"
-
+    # SOF through the last CRC bit, zero-padded to whole bytes on the right:
+    # 6 pad bits for a standard frame, 2 for an extended one.
+    region_len = body_len + CRC_WIDTH
+    pad = -region_len % 8
+    region = (body << CRC_WIDTH | crc) << pad
     # ``after`` holds the region index after which each stuff bit goes.
-    pieces: List[str] = []
     after: List[int] = []
-    search = _RUN5.search
-    pos = 0
-    m = search(region)
-    while m is not None:
-        end = m.end()
-        level = _FLIP[region[end - 1]]
-        pieces.append(region[pos:end])
-        pieces.append(level)
-        after.append(end - 1)
-        pos = end
-        # A stuff bit followed by four input bits of its level is itself the
-        # first bit of the next run of five.
-        while region.startswith(level * 4, pos):
-            level = _FLIP[level]
-            pieces.append(region[pos:pos + 4])
-            pieces.append(level)
-            after.append(pos + 3)
-            pos += 4
-        m = search(region, pos)
-    pieces.append(region[pos:])
-    pieces.append(_TAIL)
-    stream = "".join(pieces).translate(_TO_LEVELS).encode("ascii")
-    return WirePlan(stream, crc, len(after), arb + bisect_left(after, arb))
+    levels = []
+    row = _STUFF_START
+    base = 0
+    for byte in region.to_bytes((region_len + pad) >> 3, "big"):
+        out, row, offsets = row[byte]
+        levels.append(out)
+        for i in offsets:
+            after.append(base + i)
+        base += 8
+    # Stuff bits that follow pad bits are dropped; one that follows the last
+    # CRC bit is sent.
+    count = bisect_left(after, region_len)
+    stream = b"".join(levels)[:region_len + count] + _TAIL
+    return WirePlan(stream, crc, count, arb + bisect_left(after, arb))
 
 
 def encode_frame(frame: Frame) -> EncodedFrame:
@@ -403,7 +433,8 @@ def decode_frame(bits: Sequence[int]) -> Frame:
         raise FormError(pos + TAIL_BITS, "trailing bits after EOF")
 
     received_crc = int(flat[region_total - CRC_WIDTH:region_total], 2)
-    if _crc15_of(flat[:region_total - CRC_WIDTH]) != received_crc:
+    body_len = region_total - CRC_WIDTH
+    if _crc15_int(int(flat[:body_len], 2), body_len) != received_crc:
         raise CrcError(pos - 1, "CRC mismatch")
 
     frame_id = FrameId(id_value, extended=extended)

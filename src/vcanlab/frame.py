@@ -103,9 +103,10 @@ class Ordering(enum.Enum):
     TIE = "tie"
 
 
-def arbitration_key(frame: Frame) -> tuple:
-    """Bit pattern a transmitter drives during arbitration, MSB first,
-    dominant = 0.
+def arbitration_key(frame: Frame) -> int:
+    """Bit pattern a transmitter drives during arbitration, after SOF, as an
+    integer: MSB first, dominant = 0, left-aligned in 32 bits and padded
+    with zeros, so a lower key wins.
 
     Standard: ID[10..0], RTR, then the dominant IDE bit (which is what beats
     an extended frame whose top 11 identifier bits tie).
@@ -114,10 +115,8 @@ def arbitration_key(frame: Frame) -> tuple:
     rtr = 0 if frame.kind is FrameKind.DATA else 1
     v = frame.id.value
     if not frame.id.extended:
-        return tuple((v >> i) & 1 for i in range(10, -1, -1)) + (rtr, 0)
-    top = tuple((v >> i) & 1 for i in range(28, 17, -1))
-    low = tuple((v >> i) & 1 for i in range(17, -1, -1))
-    return top + (1, 1) + low + (rtr,)
+        return v << 21 | rtr << 20
+    return (v >> 18) << 21 | 3 << 19 | (v & 0x3FFFF) << 1 | rtr
 
 
 def priority_order(a: Frame, b: Frame) -> Ordering:

@@ -56,6 +56,12 @@ def drive_pattern(frame: Frame) -> List[int]:
     return bits
 
 
+def arbitration_bits(frame: Frame) -> Tuple[int, ...]:
+    """The arbitration pattern after SOF as a tuple of levels, which compare
+    in arbitration order: the form ``arbitration_key`` packs into an int."""
+    return tuple(drive_pattern(frame)[1:])
+
+
 def arbitration_winner(frames: Sequence[Frame]) -> int:
     """Index of the contender left after bit-by-bit dominant-wins contention."""
     patterns = [drive_pattern(f) for f in frames]

@@ -46,6 +46,22 @@ class TestConfigValidation:
         with pytest.raises(RateDistanceError):
             BusConfig(bitrate_bps=1_000_000, distance_m=100)
 
+    def test_bitrate_must_be_an_integer(self):
+        # A float bitrate made arrival bits, event times and ``now`` floats.
+        # The type is checked before the range: 2e6 and NaN are out of range.
+        for bitrate in (500_000.0, 2_000_000.0, float("nan")):
+            with pytest.raises(TypeError):
+                validate_bus_config(bitrate, 40)
+            with pytest.raises(TypeError):
+                BusConfig(bitrate_bps=bitrate)
+        bus = Bus(BusConfig(bitrate_bps=500_000))
+        bus.attach_node("a")
+        bus.attach_node("b")
+        trace = bus.run([ScheduleEntry(3, "a", data_frame(1, b""))], 200)
+        assert trace[0].kind is EventKind.TX_START
+        assert type(trace[0].time_bits) is int and trace[0].time_bits == 2
+        assert type(bus.now) is int and bus.now == 200
+
 
 class TestAttach:
     def test_110_nodes_ok_111th_rejected(self):

@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vcanlab.frame import (Frame, FrameId, FrameKind, IdOutOfRangeError,
-                           Ordering, PayloadTooLongError, data_frame,
-                           make_frame, priority_order, remote_frame)
+                           Ordering, PayloadTooLongError, arbitration_key,
+                           data_frame, make_frame, priority_order, remote_frame)
 
-from oracles import arbitration_winner
+from oracles import arbitration_bits, arbitration_winner
 
 
 class TestFrameId:
@@ -114,6 +114,42 @@ def test_priority_antisymmetry(va, ea, vb, eb, ra, rb):
                Ordering.B_WINS: Ordering.A_WINS,
                Ordering.TIE: Ordering.TIE}
     assert rev is flipped[fwd]
+
+
+@st.composite
+def key_pairs(draw):
+    """Two frames that mostly share their top 11 identifier bits, and often
+    their low 18, with standard and extended ids and RTR either way."""
+    top = draw(st.integers(0, 0x7FF))
+    low = draw(st.integers(0, 0x3FFFF))
+
+    def one():
+        value = draw(st.just(top) | st.integers(0, 0x7FF))
+        extended = draw(st.booleans())
+        if extended:
+            value = value << 18 | draw(st.just(low) | st.integers(0, 0x3FFFF))
+        kind = draw(st.sampled_from(FrameKind))
+        return Frame(FrameId(value, extended), kind, 0, b"")
+
+    return one(), one()
+
+
+@settings(max_examples=500)
+@given(key_pairs())
+def test_arbitration_key_orders_like_the_bit_tuple(pair):
+    a, b = pair
+    ka, kb = arbitration_key(a), arbitration_key(b)
+    ta, tb = arbitration_bits(a), arbitration_bits(b)
+    assert 0 <= ka < 1 << 32 and 0 <= kb < 1 << 32
+    assert (ka < kb) == (ta < tb)
+    assert (ka == kb) == (ta == tb)
+
+
+def test_arbitration_key_layout():
+    assert arbitration_key(data_frame(0x7FF, b"")) == 0x7FF << 21
+    assert arbitration_key(remote_frame(0x001, 0)) == 1 << 21 | 1 << 20
+    ext = remote_frame(0x123 << 18 | 0x2ABCD, 0, extended=True)
+    assert arbitration_key(ext) == 0x123 << 21 | 3 << 19 | 0x2ABCD << 1 | 1
 
 
 @given(st.integers(-10, 1 << 30), st.booleans(),

@@ -73,6 +73,21 @@ def test_fixed_cases_hold_stuff_bits_that_start_a_run():
                for s in runs_started_by_stuff_bits(arb_case))
 
 
+# Frames whose stuffed region ends in a stuff bit after the last CRC bit,
+# which falls in the last byte with the pad bits the table stuffs as well.
+TRAILING_STUFF_CASES = [data_frame(0x009, b""), remote_frame(0x003, 0),
+                        data_frame(0x007, b"", extended=True),
+                        remote_frame(0x00D, 0, extended=True)]
+
+
+@pytest.mark.parametrize("frame", TRAILING_STUFF_CASES, ids=codec.frame_to_text)
+def test_region_ending_in_a_stuff_bit(frame):
+    region, _ = reference_region(frame)
+    out, positions = stuff_with_positions(region)
+    assert positions[-1] == len(out) - 2  # the last output bit is a stuff bit
+    check_against_reference(frame)
+
+
 def test_extended_all_equal_ids():
     for id_value in (0, (1 << 29) - 1):
         check_against_reference(data_frame(id_value, bytes(8), extended=True))
