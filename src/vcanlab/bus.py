@@ -18,9 +18,12 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from . import codec
 from .codec import DOMINANT, RECESSIVE
 from .frame import Frame, FrameId
-from .node import (AcceptanceFilter, BusOffError, CounterEvent, Node, NodeMode,
+from .node import (AcceptanceFilter, BusOffError, CounterEvent, Node,
                    QueuedFrame, RECOVERY_GROUP_BITS, RECOVERY_GROUPS,
                    observe_recovery, update_counters)
+# Enum members bound once, as node.py explains.
+from .node import (_BUS_OFF, _ERROR_ACTIVE, _RX_ERROR, _RX_SUCCESS, _TX_ERROR,
+                   _TX_SUCCESS)
 
 MIN_BITRATE_BPS = 20_000
 MAX_BITRATE_BPS = 1_000_000
@@ -172,7 +175,11 @@ class Bus:
         self._active: List[QueuedFrame] = []
         self._events: List[TraceEvent] = []
         self._bus_off: Set[Node] = set()
-        # Wire plans by frame: each distinct frame sent is laid out once.
+        # Nodes with rec > 0, in the order they got there: only they owe a
+        # receive success, which changes nothing at rec == 0.
+        self._rx_owing: Dict[Node, None] = {}
+        # Wire plans by frame: each distinct frame sent in a run() call is
+        # laid out once. Cleared at each call, so slices keep few plans.
         self._plans: Dict[Frame, codec.WirePlan] = {}
         # Accepting nodes by frame id, in attach order, built on the id's
         # first delivery in a run() call.
@@ -244,7 +251,11 @@ class Bus:
         if new is old:
             return
         node.state = new
-        if new.mode is NodeMode.BUS_OFF and old.mode is not NodeMode.BUS_OFF:
+        if new.rec:
+            self._rx_owing[node] = None
+        else:
+            self._rx_owing.pop(node, None)
+        if new.mode is _BUS_OFF and old.mode is not _BUS_OFF:
             node.partial_recessive = 0
             self._bus_off.add(node)
             self._emit(EventKind.BUS_OFF_ENTERED, node.name, None, t)
@@ -279,22 +290,36 @@ class Bus:
         rejoined = []
         for node, state, partial in counts:
             node.state, node.partial_recessive = state, partial
-            if state.mode is not NodeMode.BUS_OFF:
+            if state.mode is not _BUS_OFF:
                 rejoined.append(node)
         if rejoined:
             rejoined.sort(key=self._order.index)
             self._bus_off.difference_update(rejoined)
             self._missed.update(rejoined)
             for node in rejoined:
+                self._rx_owing.pop(node, None)
                 self._emit(EventKind.BUS_OFF_RECOVERED, node.name, None, t + n - 1)
         return n
 
     def _acked(self, active: List[QueuedFrame]) -> bool:
         """Whether an error-active node that is not among the ``active``
         transmitters will drive their ACK slot dominant."""
-        senders = [entry.node for entry in active]
-        return any(n.state.mode is NodeMode.ERROR_ACTIVE and n not in senders
-                   for n in self._order)
+        for n in self._order:
+            if n.state.mode is _ERROR_ACTIVE:
+                for entry in active:
+                    if entry.node is n:
+                        break
+                else:
+                    return True
+        return False
+
+    def _queued(self) -> bool:
+        """Whether a node on the bus has a frame queued."""
+        off = self._bus_off
+        for n in self._order:
+            if n.queue and n not in off:
+                return True
+        return False
 
     def _next_fault(self, t: int) -> float:
         """The first fault bit at or after ``t``, or ``math.inf``."""
@@ -331,15 +356,18 @@ class Bus:
             self._pending = deque(heapq.merge(self._pending, items))
 
         # Node states and filters may have been assigned since the last call.
-        self._bus_off = {n for n in self._order if n.state.mode is NodeMode.BUS_OFF}
+        self._bus_off = {n for n in self._order if n.state.mode is _BUS_OFF}
+        self._rx_owing = dict.fromkeys(n for n in self._order if n.state.rec)
         self._receivers.clear()
+        self._plans.clear()
         self._events = []
         while self._t < until_bits:
             self._step(until_bits)
         return self._events
 
-    def _pop_arrivals(self) -> None:
-        while self._pending and self._pending[0][0] <= self._t:
+    def _pop_arrivals(self, t: int) -> None:
+        """Submit the frames that arrive at or before bit ``t``."""
+        while self._pending and self._pending[0][0] <= t:
             _, _, node, frame = self._pending.popleft()
             try:
                 node.submit(frame)
@@ -348,7 +376,7 @@ class Bus:
 
     def _step(self, until_bits: int) -> None:
         t = self._t
-        self._pop_arrivals()
+        self._pop_arrivals(t)
         if self._active:
             return self._tx_bit(t, until_bits)
         if not self._interm:
@@ -372,24 +400,27 @@ class Bus:
                 self._missed.clear()
                 return self._tx_bit(t, until_bits)
 
-        # Intermission or idle: only a fault drives the bus. Idle means every
-        # queue of a node on the bus is empty, so the bus may jump to the next
+        # Intermission or idle: only a fault drives the bus, and no frame can
+        # start before the intermission ends. So the bus may jump to the next
         # arrival, fault or horizon, crediting the recessive bits it skips to
-        # the bus-off nodes. A node that recovers in that stretch may hold a
-        # queued frame, so the jump ends with the bit it recovers at.
+        # the bus-off nodes; while a node on the bus has a frame queued, only
+        # to the intermission's end. A node that recovers in that stretch may
+        # hold a queued frame, so the jump ends with the bit it recovers at.
         resolved = self._faults.get(t, RECESSIVE)
         if t in self._faults:
             self._emit(EventKind.FAULT_INJECTED, None, None, t)
         n = 1
-        if self._interm:
-            self._interm -= 1
-        elif self._SKIP:
+        if self._SKIP:
             nxt = min(until_bits, self._next_fault(t + 1))
             if self._pending:
                 nxt = min(nxt, self._pending[0][0])
             n = nxt - t
+            if n > self._interm > 0 and self._queued():
+                n = self._interm
         if self._bus_off:
             n = self._credit((n,) if resolved == RECESSIVE else (0, n - 1), t)
+        if self._interm:
+            self._interm = max(self._interm - n, 0)
         self._t = t + n
 
     def _end_slot(self, t: int) -> None:
@@ -402,34 +433,39 @@ class Bus:
         k = self._k
         # Skip ahead through a lone, fault-free frame: only a bus-off node's
         # recovery can change a mode inside it, and the skip ends with that.
-        # Stop at the ACK slot unless another node will ACK, else go to the
-        # last EOF bit, and never reach the horizon, so the run that decided
-        # the ACK also simulates it.
+        # The skip covers bits k .. stop - 1. It stops before the ACK slot
+        # unless another node will ACK; otherwise it runs through the last EOF
+        # bit and ends the slot there. It also stops at the horizon, so the
+        # ACK slot is decided by the run that simulates it.
         if self._SKIP and len(active) == 1:
             plan = active[0].enc
-            if self._next_fault(t) >= self._start + plan.total_len:
+            end = plan.total_len
+            if self._next_fault(t) >= self._start + end:
                 ack = plan.ack_idx
-                if k <= ack and not self._acked(active):
-                    target = ack
-                else:
-                    target = plan.total_len - 1
-                target = min(target, k + until_bits - 1 - t)
-                if target > k and self._bus_off:
+                stop = end if k > ack or self._acked(active) else ack
+                stop = min(stop, k + until_bits - t)
+                if stop > k and self._bus_off:
                     # A frame that arrives for a bus-off node is dropped, so no
                     # recovery is credited before the arrivals up to its bit.
                     if self._pending:
-                        target = min(target, k + self._pending[0][0] - t)
+                        stop = min(stop, k + self._pending[0][0] - t)
                     # An ACK slot inside the stretch is another node's ACK.
-                    levels = plan.stream[k:target]
-                    if k <= ack < target:
+                    levels = plan.stream[k:stop]
+                    if k <= ack < stop:
                         levels = levels[:ack - k] + _DOMINANT_BIT + levels[ack - k + 1:]
-                    target = k + self._credit(
+                    stop = k + self._credit(
                         [len(run) for run in levels.split(_DOMINANT_BIT)], t)
-                if target > k:
-                    t += target - k
-                    k = self._k = target
+                if stop > k:
+                    t += stop - k
+                    k = self._k = stop
                     self._t = t
-                    self._pop_arrivals()
+                    if stop == end or t == until_bits:
+                        # The skip ends the slot or the run at its last bit.
+                        self._pop_arrivals(t - 1)
+                        if stop == end:
+                            return self._deliver(active, t - 1)
+                        return
+                    self._pop_arrivals(t)
 
         driven = [entry.enc.stream[k] for entry in active]
         # Transmitters still on the wire sent identical bits, so at one's ACK
@@ -496,10 +532,10 @@ class Bus:
         transmit error, every other node on the bus a receive error."""
         skip = {entry.node for entry in active} | self._bus_off
         for entry in active:
-            self._apply_counter(entry.node, CounterEvent.TX_ERROR, t)
+            self._apply_counter(entry.node, _TX_ERROR, t)
         for n in self._order:
             if n not in skip:
-                self._apply_counter(n, CounterEvent.RX_ERROR, t)
+                self._apply_counter(n, _RX_ERROR, t)
         self._end_slot(t)
 
     def _deliver(self, still: List[QueuedFrame], t: int) -> None:
@@ -510,15 +546,17 @@ class Bus:
         # Neither a transmit nor a receive success sends a node bus-off, so
         # one set names every node that does not receive.
         skip = {entry.node for entry in still} | self._bus_off | self._missed
+        # A success at a zero counter changes nothing, so only a transmitter
+        # with tec > 0 and a receiver with rec > 0 need the update.
         for entry in still:
-            entry.node.queue.remove(entry)
-            self._apply_counter(entry.node, CounterEvent.TX_SUCCESS, t)
-            entry.node.delivered += 1
-        # update_counters returns the state unchanged for RX_SUCCESS at
-        # rec == 0, so only receivers with rec > 0 need the call.
-        for n in self._order:
-            if n.state.rec and n not in skip:
-                self._apply_counter(n, CounterEvent.RX_SUCCESS, t)
+            node = entry.node
+            node.queue.remove(entry)
+            if node.state.tec:
+                self._apply_counter(node, _TX_SUCCESS, t)
+            node.delivered += 1
+        if self._rx_owing:
+            for n in [n for n in self._rx_owing if n not in skip]:
+                self._apply_counter(n, _RX_SUCCESS, t)
         frame = still[0].frame
         receivers = self._receivers.get(frame.id)
         if receivers is None:

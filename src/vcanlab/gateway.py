@@ -122,32 +122,44 @@ class GatewaySession:
         every frame the node has received since the last call.
 
         Responds CR per accepted line, BEL per rejected one; the session never
-        aborts."""
+        aborts. A line that reaches ``MAX_LINE_BYTES`` bytes without a CR is
+        rejected at that byte, and the rest of it, through the next CR, is
+        dropped. Each call scans ``incoming`` a whole line at a time."""
         out = bytearray()
-        for byte in incoming:
+        buf = self.rx_buffer
+        pos, size = 0, len(incoming)
+        while pos < size:
+            cr = incoming.find(CR, pos)
             if self._discarding:
-                if byte == CR[0]:
-                    self._discarding = False
+                if cr < 0:
+                    break
+                self._discarding = False
+                pos = cr + 1
                 continue
-            if byte == CR[0]:
-                line = bytes(self.rx_buffer)
-                self.rx_buffer.clear()
-                try:
-                    frame = parse_serial_line(line)
-                    self.node.submit(frame)
-                except (SerialParseError, BusOffError):
-                    self.parse_errors += 1
-                    out += BEL
-                else:
-                    self.frames_in += 1
-                    out += CR
+            end = size if cr < 0 else cr
+            room = MAX_LINE_BYTES - len(buf)
+            if end - pos >= room:
+                buf.clear()
+                self.parse_errors += 1
+                self._discarding = True
+                out += BEL
+                pos += room
+                continue
+            buf += incoming[pos:end]
+            if cr < 0:
+                break
+            pos = cr + 1
+            line = bytes(buf)
+            buf.clear()
+            try:
+                frame = parse_serial_line(line)
+                self.node.submit(frame)
+            except (SerialParseError, BusOffError):
+                self.parse_errors += 1
+                out += BEL
             else:
-                self.rx_buffer.append(byte)
-                if len(self.rx_buffer) >= MAX_LINE_BYTES:
-                    self.rx_buffer.clear()
-                    self.parse_errors += 1
-                    self._discarding = True
-                    out += BEL
+                self.frames_in += 1
+                out += CR
         received = self.node.received
         while self._rx_cursor < len(received):
             out += format_serial_line(received[self._rx_cursor])

@@ -5,9 +5,10 @@ oracle is polynomial long division over GF(2) on a big integer (the codec uses
 a table-driven shift register), and the arbitration oracle compares drive
 patterns bit by bit. The decoder walks the bits one at a time, where the
 codec scans strings, and the serial-line parser checks and converts hex one
-character and one byte at a time, where the gateway checks whole fields. The
-bus-off recovery count ticks one bus level at a time, where the bus credits
-whole runs of recessive bits.
+character and one byte at a time, where the gateway checks whole fields, and
+the serial pump takes its input one byte at a time, where the gateway scans
+whole lines. The bus-off recovery count ticks one bus level at a time, where
+the bus credits whole runs of recessive bits.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from vcanlab.codec import (CRC_WIDTH, DOMINANT, EOF_BITS, RECESSIVE, TAIL_BITS,
                            _EXT_HEADER_BITS, _STD_HEADER_BITS, crc15)
 from vcanlab.frame import (MAX_EXTENDED_ID, MAX_STANDARD_ID, Frame, FrameId,
                            FrameKind)
-from vcanlab.gateway import CR, MAX_LINE_BYTES, ParseReason, SerialParseError
+from vcanlab.gateway import (BEL, CR, MAX_LINE_BYTES, GatewaySession, ParseReason,
+                             SerialParseError, format_serial_line, parse_serial_line)
+from vcanlab.node import BusOffError
 
 # x^15 + x^14 + x^10 + x^8 + x^7 + x^4 + x^3 + 1
 CRC_GENERATOR = 0xC599
@@ -289,3 +292,41 @@ def parse_serial_line_reference(data: bytes) -> Frame:
     payload = bytes(_hex_field_reference(body[i:i + 2], "data")
                     for i in range(0, len(body), 2))
     return Frame(frame_id, FrameKind.DATA, dlc, payload)
+
+
+def pump_bytewise(session: GatewaySession, incoming: bytes = b"") -> bytes:
+    """Byte-at-a-time serial pump: the reference
+    :meth:`vcanlab.gateway.GatewaySession.pump` must match on every chunking
+    of every input, in the bytes it returns and in the session's buffer,
+    discard flag, counters and the frames it queues."""
+    out = bytearray()
+    for byte in incoming:
+        if session._discarding:
+            if byte == CR[0]:
+                session._discarding = False
+            continue
+        if byte == CR[0]:
+            line = bytes(session.rx_buffer)
+            session.rx_buffer.clear()
+            try:
+                frame = parse_serial_line(line)
+                session.node.submit(frame)
+            except (SerialParseError, BusOffError):
+                session.parse_errors += 1
+                out += BEL
+            else:
+                session.frames_in += 1
+                out += CR
+        else:
+            session.rx_buffer.append(byte)
+            if len(session.rx_buffer) >= MAX_LINE_BYTES:
+                session.rx_buffer.clear()
+                session.parse_errors += 1
+                session._discarding = True
+                out += BEL
+    received = session.node.received
+    while session._rx_cursor < len(received):
+        out += format_serial_line(received[session._rx_cursor])
+        session.frames_out += 1
+        session._rx_cursor += 1
+    return bytes(out)

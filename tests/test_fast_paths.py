@@ -41,21 +41,70 @@ def filters(draw):
     return AcceptanceFilter(draw(SMALL_IDS), mask, extended)
 
 
-# A bus-off node's recovery groups and partial count: fresh, or a few
-# recessive bits short of recovery.
-PRESETS = st.tuples(st.sampled_from([0, *range(RECOVERY_GROUPS - 8, RECOVERY_GROUPS)]),
-                    st.integers(0, RECOVERY_GROUP_BITS - 1))
+# A bus-off node's recovery groups and partial count: fresh, a few groups
+# short of recovery, or anywhere up to 127 groups from it.
+PRESETS = st.tuples(
+    st.sampled_from([0, *range(RECOVERY_GROUPS - 8, RECOVERY_GROUPS)])
+    | st.integers(1, RECOVERY_GROUPS - 1),
+    st.integers(0, RECOVERY_GROUP_BITS - 1))
 NODE_FILTERS = st.none() | filters()
 FRAMES = frames()
 LEVELS = st.sampled_from([DOMINANT, RECESSIVE])
+# Bits from one frame's SOF to the end of its intermission, at most.
+LONGEST = wire_plan(data_frame(0, bytes(8), extended=True)).total_len + INTERMISSION_BITS
+
+
+@st.composite
+def presets(draw, nodes, schedule, horizon, faults):
+    """Up to three nodes to put bus-off at one bit with one recovery count,
+    and frames that arrive for them. Either anywhere in the run, with any
+    count and up to three frames up to 200 bits later; or in the tail of a
+    scheduled frame, after its ACK slot and a few bits short of recovery, so
+    that they recover before the frame ends or in its intermission, with one
+    to three frames arriving up to a bit after that, mostly before they
+    recover. That frame ends before the horizon and, if sent when scheduled,
+    meets no fault and no other scheduled frame, so the bus may skip through
+    it; the nodes accept it and did not send it, if there are any."""
+    names = [name for name, _ in nodes]
+    fault_bits = {bit for bit, _ in faults}
+    fits = []
+    for entry in schedule:
+        plan = wire_plan(entry.frame)
+        span = range(entry.time_us, entry.time_us + plan.total_len + INTERMISSION_BITS)
+        others = [e.time_us for e in schedule if e is not entry]
+        if (span.stop <= horizon and fault_bits.isdisjoint(span)
+                and not any(span.start - LONGEST <= at < span.stop for at in others)):
+            fits.append((entry, plan))
+    if fits and draw(st.integers(0, 3)):
+        entry, plan = draw(st.sampled_from(fits))
+        # Hypothesis often draws an integer at a bound of its range, so each
+        # range here has both bounds where the case it aims at happens.
+        tail = entry.time_us + plan.ack_idx + 1
+        recovers = draw(st.integers(tail + 1, entry.time_us + plan.total_len - 1)
+                        | st.integers(tail + 1, entry.time_us + plan.total_len
+                                      + INTERMISSION_BITS - 1))
+        bit = draw(st.integers(max(tail, recovers - RECOVERY_GROUP_BITS + 1), recovers - 1))
+        preset = (RECOVERY_GROUPS - 1, RECOVERY_GROUP_BITS - 1 - (recovers - bit))
+        names = [name for name, accept_filter in nodes if name != entry.node and (
+            accept_filter is None or accepts(accept_filter, entry.frame.id))] or names
+        times = st.integers(bit + 1, recovers) | st.integers(bit, recovers + 1)
+        count = 1
+    else:
+        bit = draw(st.just(0) | st.integers(0, horizon))
+        preset = draw(PRESETS)
+        times, count = st.integers(bit, bit + 200), 0
+    group = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    arrivals = draw(st.lists(st.builds(ScheduleEntry, times, st.sampled_from(group), FRAMES),
+                             min_size=count, max_size=3))
+    return (bit, group, preset), arrivals
 
 
 @st.composite
 def scenarios(draw):
     """Up to twelve nodes, some with standard or extended acceptance filters,
     contending frames, faults anywhere up to the horizon, dominant bursts
-    that drive senders bus-off, and sometimes a node forced bus-off before
-    the run, either fresh or a few recessive bits short of recovery."""
+    that drive senders bus-off, and sometimes nodes forced bus-off together
+    with frames that arrive for them (see ``presets``)."""
     n = draw(st.integers(1, 12))
     nodes = [(f"n{i}", draw(NODE_FILTERS)) for i in range(n)]
     horizon = draw(st.integers(1, 12_000))
@@ -66,19 +115,20 @@ def scenarios(draw):
     for start, length in draw(st.lists(
             st.tuples(st.integers(0, horizon), st.integers(100, 400)), max_size=3)):
         faults += [(bit, DOMINANT) for bit in range(start, start + length)]
-    forced = draw(st.none() | st.tuples(senders, PRESETS))
+    forced = []
+    for preset, arrivals in draw(st.lists(presets(nodes, schedule, horizon, faults),
+                                           max_size=2)):
+        forced.append(preset)
+        schedule = schedule + arrivals
     return nodes, schedule, horizon, faults, forced
 
 
-def build(nodes, faults, forced):
+def build(nodes, faults):
     bus = Bus(BusConfig())
     for name, accept_filter in nodes:
         bus.attach_node(name, accept_filter)
     for bit, level in faults:
         bus.inject_fault(bit, level)
-    if forced is not None:
-        name, preset = forced
-        force_bus_off(bus.nodes[name], *preset)
     return bus
 
 
@@ -103,13 +153,25 @@ def with_skip(skip, fn, *args):
         Bus._SKIP = saved
 
 
-def run_whole(scn, skip):
-    nodes, schedule, horizon, faults, forced = scn
+def run_scenario(scn, cuts=()):
+    """Run a scenario in one call per stretch between its preset bits and
+    ``cuts``, forcing the presets' nodes bus-off at their bit. Returns the
+    outcome, and each call's horizon with the events it returned."""
+    nodes, schedule, horizon, faults, presets = scn
+    bus = build(nodes, faults)
+    calls = []
+    for until in sorted({bit for bit, _, _ in presets} | set(cuts) | {horizon}):
+        calls.append((until, bus.run([] if calls else schedule, until)))
+        assert bus.now == until
+        for bit, names, preset in presets:
+            if bit == until:
+                for name in names:
+                    force_bus_off(bus.nodes[name], *preset)
+    return outcome(bus, [e for _, events in calls for e in events]), calls
 
-    def go():
-        bus = build(nodes, faults, forced)
-        return outcome(bus, bus.run(schedule, horizon))
-    return with_skip(skip, go)
+
+def run_whole(scn, skip):
+    return with_skip(skip, run_scenario, scn)[0]
 
 
 # The explain phase only annotates a failure's report, and on these scenarios
@@ -118,24 +180,31 @@ def run_whole(scn, skip):
 WITHOUT_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
 
 
-def received_by_trace(nodes, trace, forced):
+def received_by_trace(nodes, trace, presets):
     """Each node's received frames rebuilt from the trace: one reception per
     delivery bit, of a frame its filter accepts, unless it sent that frame or
-    was bus-off at any bit from the frame's SOF."""
+    was bus-off at any bit from the frame's SOF. A frame is delivered at its
+    last EOF bit, ``INTERMISSION_BITS`` before its FrameDelivered time, and a
+    preset at a bit puts its nodes bus-off before that bit is simulated."""
     senders = {}
     for e in trace:
         if e.kind is EventKind.FRAME_DELIVERED:
             senders.setdefault(e.time_bits, set()).add(e.node)
-    off = {name: forced is not None and name == forced[0] for name, _ in nodes}
+    forced = sorted((bit, name) for bit, names, _ in presets for name in names)
+    off = {name: False for name, _ in nodes}
     recovered = {}
     received = {name: [] for name, _ in nodes}
     for e in trace:
+        delivery = e.kind is EventKind.FRAME_DELIVERED
+        at = e.time_bits - INTERMISSION_BITS - 1 if delivery else e.time_bits
+        while forced and forced[0][0] <= at:
+            off[forced.pop(0)[1]] = True
         if e.kind in (EventKind.BUS_OFF_ENTERED, EventKind.BUS_OFF_RECOVERED):
             off[e.node] = e.kind is EventKind.BUS_OFF_ENTERED
             if not off[e.node]:
                 recovered[e.node] = e.time_bits
-        elif e.kind is EventKind.FRAME_DELIVERED and e.time_bits in senders:
-            sof = e.time_bits - INTERMISSION_BITS - wire_plan(e.frame).total_len
+        elif delivery and e.time_bits in senders:
+            sof = at + 1 - wire_plan(e.frame).total_len
             for name, accept_filter in nodes:
                 if (name not in senders[e.time_bits] and not off[name]
                         and recovered.get(name, -1) < sof
@@ -148,27 +217,30 @@ def received_by_trace(nodes, trace, forced):
 @settings(max_examples=150, deadline=None, phases=WITHOUT_EXPLAIN)
 @given(scenarios())
 def test_skips_match_plain_stepping(scn):
-    nodes, _, _, _, forced = scn
+    nodes, _, _, _, presets = scn
     got = run_whole(scn, True)
     assert got == run_whole(scn, False)
     trace, _, received = got
-    assert received == received_by_trace(nodes, trace, forced)
+    assert received == received_by_trace(nodes, trace, presets)
+    # Nodes that recover at one bit rejoin in attach order.
+    attach = {name: i for i, (name, _) in enumerate(nodes)}
+    rejoins = [(e.time_bits, attach[e.node]) for e in trace
+               if e.kind is EventKind.BUS_OFF_RECOVERED]
+    assert rejoins == sorted(rejoins)
 
 
 @settings(max_examples=150, deadline=None, phases=WITHOUT_EXPLAIN)
 @given(scenarios(), st.data())
 def test_split_run_equals_one_run(scn, data):
-    nodes, schedule, horizon, faults, forced = scn
+    nodes, _, horizon, _, presets = scn
     split = data.draw(st.integers(0, horizon))
-    bus = build(nodes, faults, forced)
-    first = bus.run(schedule, split)
-    assert bus.now == split
-    second = bus.run([], horizon)
-    assert bus.now == horizon
-    assert outcome(bus, first + second) == run_whole(scn, True)
+    got, calls = run_scenario(scn, [split])
+    assert got == run_whole(scn, True)
+    trace, _, received = got
+    assert received == received_by_trace(nodes, trace, presets)
     # FrameDelivered is stamped at the end of intermission, after the last
     # simulated bit; every other event happens at a simulated bit.
-    for until, events in ((split, first), (horizon, second)):
+    for until, events in calls:
         assert all(e.time_bits < until for e in events
                    if e.kind is not EventKind.FRAME_DELIVERED)
 
@@ -540,6 +612,58 @@ def test_fault_inside_intermission(level, offset):
         (EventKind.TX_START, PLAN.total_len + INTERMISSION_BITS)]
 
 
+# One group short of recovery at bit 0, a bus-off node counts from the ACK
+# slot of a lone ACKed frame from bit 0, the last dominant bit, and recovers
+# at the last intermission bit.
+LAST_INTERMISSION_BIT = PLAN.total_len + INTERMISSION_BITS - 1
+assert PLAN.ack_idx + RECOVERY_GROUP_BITS == LAST_INTERMISSION_BIT
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("level", [DOMINANT, RECESSIVE])
+@pytest.mark.parametrize("offset", range(INTERMISSION_BITS))
+def test_fault_inside_an_idle_intermission(monkeypatch, skip, level, offset):
+    # No frame waits, so the intermission jumps on with the idle stretch. A
+    # fault at any of its bits shows at that bit, and a dominant one
+    # restarts the bus-off node's count; the next frame starts on arrival.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    fault_at = PLAN.total_len + offset
+    second_at = PLAN.total_len + 30
+    bus = lone_bus()
+    force_bus_off(bus.attach_node("ghost"), RECOVERY_GROUPS - 1)
+    bus.inject_fault(fault_at, level)
+    trace = bus.run([ScheduleEntry(0, "solo", LONE), ScheduleEntry(second_at, "peer", LONE)],
+                    3 * PLAN.total_len)
+    recovered = (fault_at + RECOVERY_GROUP_BITS if level == DOMINANT
+                 else LAST_INTERMISSION_BIT)
+    assert [(e.kind, e.node, e.time_bits) for e in trace][:5] == [
+        (EventKind.TX_START, "solo", 0),
+        (EventKind.FRAME_DELIVERED, "solo", PLAN.total_len + INTERMISSION_BITS),
+        (EventKind.FAULT_INJECTED, None, fault_at),
+        (EventKind.BUS_OFF_RECOVERED, "ghost", recovered),
+        (EventKind.TX_START, "peer", second_at)]
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("offset", range(INTERMISSION_BITS))
+@pytest.mark.parametrize("late", [-1, 0, 1])
+def test_arrival_for_a_node_recovering_inside_intermission(monkeypatch, skip, offset, late):
+    # Put at the ACK delimiter so that it recovers at intermission bit
+    # ``offset``, the ghost drops a frame that arrives for it up to that bit;
+    # one that arrives a bit later is queued and sent when the bus is free.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus = lone_bus()
+    ghost = bus.attach_node("ghost")
+    first = bus.run([ScheduleEntry(0, "solo", LONE)], PLAN.ack_idx + 1)
+    at = PLAN.total_len + offset
+    force_bus_off(ghost, RECOVERY_GROUPS - 1, RECOVERY_GROUP_BITS + PLAN.ack_idx - at)
+    trace = first + bus.run([ScheduleEntry(at + late, "ghost", LONE)], 3 * PLAN.total_len)
+    assert recoveries(trace) == [("ghost", at)]
+    starts = [(e.node, e.time_bits) for e in trace if e.kind is EventKind.TX_START]
+    free = PLAN.total_len + INTERMISSION_BITS
+    assert starts == [("solo", 0)] + ([("ghost", free)] if late > 0 else [])
+
+
 @pytest.mark.parametrize("offset", range(INTERMISSION_BITS + 1))
 def test_horizon_inside_intermission(offset):
     until = PLAN.total_len + offset
@@ -556,3 +680,35 @@ def test_horizon_inside_intermission(offset):
         return outcome(bus, bus.run(schedule, 3 * PLAN.total_len))
 
     assert go() == with_skip(False, go) == whole()
+
+
+@pytest.mark.parametrize("offset", range(INTERMISSION_BITS + 1))
+def test_split_inside_an_idle_intermission(offset):
+    # No frame waits, so the intermission jumps on with the idle stretch. A
+    # run that stops at any of its bits continues as one run does, with the
+    # skips on or off: the bus-off ghost recovers at the last intermission
+    # bit, and the next frame starts on arrival.
+    until = PLAN.total_len + offset
+    second_at = PLAN.total_len + 20
+    schedule = [ScheduleEntry(0, "solo", LONE), ScheduleEntry(second_at, "peer", LONE)]
+
+    def rig():
+        bus = lone_bus()
+        force_bus_off(bus.attach_node("ghost"), RECOVERY_GROUPS - 1)
+        return bus
+
+    def go():
+        bus = rig()
+        first = bus.run(schedule, until)
+        assert bus.now == until
+        return outcome(bus, first + bus.run([], 3 * PLAN.total_len))
+
+    def whole():
+        bus = rig()
+        return outcome(bus, bus.run(schedule, 3 * PLAN.total_len))
+
+    got = go()
+    assert got == with_skip(False, go) == whole()
+    assert recoveries(got[0]) == [("ghost", LAST_INTERMISSION_BIT)]
+    assert [(e.node, e.time_bits) for e in got[0] if e.kind is EventKind.TX_START] == [
+        ("solo", 0), ("peer", second_at)]

@@ -11,7 +11,7 @@ from vcanlab.gateway import (BEL, CR, GatewaySession, ParseReason,
 from vcanlab.node import NodeMode, NodeState
 from vcanlab.sensornet import SensorConfig, SensorReading, build_reading_frame
 
-from oracles import parse_serial_line_reference, random_frame
+from oracles import parse_serial_line_reference, pump_bytewise, random_frame
 
 
 # Edits int(..., 16) or bytes.fromhex would let through, and edits the
@@ -177,3 +177,62 @@ class TestSession:
                 i = j + 1
         assert b"".join(bytes(p) for p in pieces) == bytes(out)
         assert pieces.count(CR) == 2 and pieces.count(BEL) == 1
+
+
+# Line bodies around the 28-byte limit: a valid line of 27 bytes with its CR,
+# 27 bytes of text (28 with the CR) and runs of bytes long enough to overflow,
+# valid lines, and arbitrary bytes, which bring CRs and non-ASCII bytes.
+_BODIES = st.one_of(
+    st.randoms(use_true_random=False).map(
+        lambda rng: format_serial_line(random_frame(rng))[:-1]),
+    st.sampled_from([b"T1ABCDEF08" + b"00" * 8, b"T1ABCDEF08" + b"00" * 8 + b"0"]),
+    st.integers(0, 60).map(lambda n: b"A" * n),
+    st.binary(max_size=30),
+)
+
+
+@st.composite
+def serial_chunks(draw):
+    """A byte stream of lines, some without their CR, cut into chunks."""
+    pieces = draw(st.lists(st.tuples(_BODIES, st.booleans()), max_size=10))
+    stream = b"".join(body + (CR if ends else b"") for body, ends in pieces)
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+    return [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+
+
+def session_state(session):
+    return (bytes(session.rx_buffer), session._discarding, session.parse_errors,
+            session.frames_in, session.frames_out, [q.frame for q in session.node.queue])
+
+
+@settings(max_examples=300, deadline=None)
+@given(serial_chunks(), st.booleans())
+def test_pump_matches_the_bytewise_pump(chunks, bus_off):
+    # Each chunk gives the same response and leaves both sessions alike,
+    # whichever way the stream is cut: inside a line, between a line and its
+    # CR, or inside an overlong line that is being discarded.
+    sessions = []
+    for _ in range(2):
+        bus = Bus(BusConfig())
+        node = bus.attach_node("gw")
+        if bus_off:
+            node.state = NodeState(tec=256, mode=NodeMode.BUS_OFF)
+        sessions.append(GatewaySession(node))
+    fast, slow = sessions
+    for chunk in chunks:
+        assert fast.pump(chunk) == pump_bytewise(slow, chunk)
+        assert session_state(fast) == session_state(slow)
+
+
+@pytest.mark.parametrize("text, response, errors", [
+    (b"\r\r", BEL + BEL, 2),                        # CR-only input: two empty lines
+    (b"T1ABCDEF08" + b"00" * 8 + b"\r", CR, 0),      # 27 bytes with the CR: accepted
+    (b"T1ABCDEF08" + b"00" * 8 + b"0\r", BEL, 1),    # 28 with the CR: too long to parse
+    (b"A" * 28 + b"\r", BEL, 1),                     # 28 without a CR: overflow at the 28th
+    (b"t1230\xff\r", BEL, 1),                        # a non-ASCII byte
+])
+def test_pump_line_limits(text, response, errors):
+    session = GatewaySession(Bus(BusConfig()).attach_node("gw"))
+    assert session.pump(text) == response
+    assert session.parse_errors == errors
+    assert (session.rx_buffer, session._discarding) == (bytearray(), False)

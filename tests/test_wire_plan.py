@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcanlab import codec
-from vcanlab.bus import Bus, BusConfig
+from vcanlab.bus import Bus, BusConfig, ScheduleEntry
 from vcanlab.codec import (EXT_ARBITRATION_END, RECESSIVE, STD_ARBITRATION_END,
                            TAIL_BITS, crc15, frame_body_bits, stuff,
                            stuff_with_positions, wire_plan)
@@ -116,3 +116,16 @@ def test_equal_frames_share_one_plan_per_bus():
     assert a.queue[0].enc is b.queue[0].enc
     assert list(bus._plans) == [first]
     assert Bus(BusConfig())._plans == {}
+
+
+def test_plans_last_one_run_call():
+    # A bus run in short slices, as a gateway drives it, sends a new frame in
+    # each: the plans of earlier calls are dropped, so it holds one at most.
+    bus = Bus(BusConfig())
+    bus.attach_node("a")
+    bus.attach_node("b")
+    for i in range(50):
+        frame = Frame(FrameId(i), FrameKind.DATA, 1, bytes([i]))
+        bus.run([ScheduleEntry(bus.now, "a", frame)], bus.now + 200)
+        assert bus.nodes["b"].received[-1] == frame
+    assert len(bus._plans) <= 1
