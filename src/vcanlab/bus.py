@@ -104,6 +104,11 @@ class EventKind(enum.Enum):
     FAULT_INJECTED = "FaultInjected"
 
 
+# Members read on every frame, bound once, as node.py explains.
+_FRAME_DELIVERED = EventKind.FRAME_DELIVERED
+_FAULT_INJECTED = EventKind.FAULT_INJECTED
+
+
 class TraceEvent(NamedTuple):
     time_bits: int
     time_s: float
@@ -166,7 +171,8 @@ class Bus:
         self._pending: Deque[Tuple[int, int, Node, Frame]] = deque()
         self._pending_seq = 0
         self._t = 0
-        self._interm = 0
+        # The first bit after the last intermission: no frame starts before it.
+        self._free = 0
         # The slot in progress: first bit, index of the bit being sent, and
         # the queue heads of the transmitters still on the wire, each with
         # its node and wire plan (``enc``); empty when the bus is idle.
@@ -358,6 +364,13 @@ class Bus:
         # Node states and filters may have been assigned since the last call.
         self._bus_off = {n for n in self._order if n.state.mode is _BUS_OFF}
         self._rx_owing = dict.fromkeys(n for n in self._order if n.state.rec)
+        if self._active:
+            # A transmitter set bus-off since then leaves the wire; its frame
+            # stays queued. With none left, the slot ends as if aborted at
+            # the last bit simulated.
+            self._active = [e for e in self._active if e.node not in self._bus_off]
+            if not self._active:
+                self._end_slot(self._t - 1)
         self._receivers.clear()
         self._plans.clear()
         self._events = []
@@ -377,28 +390,30 @@ class Bus:
     def _step(self, until_bits: int) -> None:
         t = self._t
         self._pop_arrivals(t)
-        if self._active:
-            return self._tx_bit(t, until_bits)
-        if not self._interm:
+        active = self._active
+        if not active and t >= self._free:
             off = self._bus_off
-            starters = [n.queue[0] for n in self._order if n.queue and n not in off]
-            if starters:
+            active = [n.queue[0] for n in self._order if n.queue and n not in off]
+            if active:
                 time_s = self._stamp(t)
                 self._events += [_new_event(TraceEvent, (
                     t, time_s, entry.node.name, _START_KIND[entry.attempted], entry.frame))
-                    for entry in starters]
+                    for entry in active]
                 plans = self._plans
-                for entry in starters:
+                for entry in active:
                     entry.attempted = True
                     if entry.enc is None:
                         plan = plans.get(entry.frame)
                         if plan is None:
                             plan = plans[entry.frame] = codec.wire_plan(entry.frame)
                         entry.enc = plan
-                self._active = starters
+                self._active = active
                 self._start, self._k = t, 0
                 self._missed.clear()
-                return self._tx_bit(t, until_bits)
+        if active:
+            if len(active) == 1 and self._SKIP and self._skip(t, until_bits):
+                return
+            return self._tx_bit(self._t, until_bits)
 
         # Intermission or idle: only a fault drives the bus, and no frame can
         # start before the intermission ends. So the bus may jump to the next
@@ -408,65 +423,79 @@ class Bus:
         # hold a queued frame, so the jump ends with the bit it recovers at.
         resolved = self._faults.get(t, RECESSIVE)
         if t in self._faults:
-            self._emit(EventKind.FAULT_INJECTED, None, None, t)
+            self._emit(_FAULT_INJECTED, None, None, t)
         n = 1
         if self._SKIP:
             nxt = min(until_bits, self._next_fault(t + 1))
             if self._pending:
                 nxt = min(nxt, self._pending[0][0])
+            if nxt > self._free > t and self._queued():
+                nxt = self._free
             n = nxt - t
-            if n > self._interm > 0 and self._queued():
-                n = self._interm
         if self._bus_off:
             n = self._credit((n,) if resolved == RECESSIVE else (0, n - 1), t)
-        if self._interm:
-            self._interm = max(self._interm - n, 0)
         self._t = t + n
 
     def _end_slot(self, t: int) -> None:
         self._active = []
-        self._interm = INTERMISSION_BITS
         self._t = t + 1
+        self._free = t + 1 + INTERMISSION_BITS
+
+    def _skip(self, t: int, until_bits: int) -> bool:
+        """Skip ahead through the lone frame in progress, whose bit ``t`` is
+        next, and return whether that ended the step.
+
+        Only a bus-off node's recovery can change a mode inside the frame, and
+        the skip ends with that. The skip covers bits k .. stop - 1. It stops
+        at the next fault bit, which is stepped, and at the horizon, so the
+        ACK slot is decided by the run that simulates it; and before the ACK
+        slot unless another node will ACK. Otherwise it runs through the last
+        EOF bit and delivers the frame. While no node is bus-off, nothing but
+        arrivals can happen in a fault-free intermission, and each arrival is
+        queued; so when the horizon lies past the intermission, the step
+        jumps it too.
+        """
+        active = self._active
+        plan = active[0].enc
+        k = self._k
+        end = plan.total_len
+        ack = plan.ack_idx
+        fault = self._next_fault(t)
+        stop = end if k > ack or self._acked(active) else ack
+        stop = min(stop, k + until_bits - t, k + fault - t)
+        if stop > k and self._bus_off:
+            # A frame that arrives for a bus-off node is dropped, so no
+            # recovery is credited before the arrivals up to its bit.
+            if self._pending:
+                stop = min(stop, k + self._pending[0][0] - t)
+            # An ACK slot inside the stretch is another node's ACK.
+            levels = plan.stream[k:stop]
+            if k <= ack < stop:
+                levels = levels[:ack - k] + _DOMINANT_BIT + levels[ack - k + 1:]
+            stop = k + self._credit([len(run) for run in levels.split(_DOMINANT_BIT)], t)
+        if stop == k:
+            return False
+        t += stop - k
+        self._k = stop
+        self._t = t
+        if stop == end:
+            free = t + INTERMISSION_BITS
+            jump = not self._bus_off and until_bits >= free and fault >= free
+            self._pop_arrivals(free - 1 if jump else t - 1)
+            self._deliver(active, t - 1)
+            if jump:
+                self._t = free
+            return True
+        # The skip ends the run at its last bit, or the step goes on at ``t``.
+        if t == until_bits:
+            self._pop_arrivals(t - 1)
+            return True
+        self._pop_arrivals(t)
+        return False
 
     def _tx_bit(self, t: int, until_bits: int) -> None:
         active = self._active
         k = self._k
-        # Skip ahead through a lone, fault-free frame: only a bus-off node's
-        # recovery can change a mode inside it, and the skip ends with that.
-        # The skip covers bits k .. stop - 1. It stops before the ACK slot
-        # unless another node will ACK; otherwise it runs through the last EOF
-        # bit and ends the slot there. It also stops at the horizon, so the
-        # ACK slot is decided by the run that simulates it.
-        if self._SKIP and len(active) == 1:
-            plan = active[0].enc
-            end = plan.total_len
-            if self._next_fault(t) >= self._start + end:
-                ack = plan.ack_idx
-                stop = end if k > ack or self._acked(active) else ack
-                stop = min(stop, k + until_bits - t)
-                if stop > k and self._bus_off:
-                    # A frame that arrives for a bus-off node is dropped, so no
-                    # recovery is credited before the arrivals up to its bit.
-                    if self._pending:
-                        stop = min(stop, k + self._pending[0][0] - t)
-                    # An ACK slot inside the stretch is another node's ACK.
-                    levels = plan.stream[k:stop]
-                    if k <= ack < stop:
-                        levels = levels[:ack - k] + _DOMINANT_BIT + levels[ack - k + 1:]
-                    stop = k + self._credit(
-                        [len(run) for run in levels.split(_DOMINANT_BIT)], t)
-                if stop > k:
-                    t += stop - k
-                    k = self._k = stop
-                    self._t = t
-                    if stop == end or t == until_bits:
-                        # The skip ends the slot or the run at its last bit.
-                        self._pop_arrivals(t - 1)
-                        if stop == end:
-                            return self._deliver(active, t - 1)
-                        return
-                    self._pop_arrivals(t)
-
         driven = [entry.enc.stream[k] for entry in active]
         # Transmitters still on the wire sent identical bits, so at one's ACK
         # slot all of them are at theirs.
@@ -477,7 +506,7 @@ class Bus:
 
         fault = self._faults.get(t)
         if fault is not None:
-            self._emit(EventKind.FAULT_INJECTED, None, None, t)
+            self._emit(_FAULT_INJECTED, None, None, t)
             resolved = fault
 
         error = False
@@ -544,8 +573,12 @@ class Bus:
         and was on the bus at every bit from SOF receives the frame once."""
         deliver_t = self._start + still[0].enc.total_len + INTERMISSION_BITS
         # Neither a transmit nor a receive success sends a node bus-off, so
-        # one set names every node that does not receive.
-        skip = {entry.node for entry in still} | self._bus_off | self._missed
+        # one collection names every node that does not receive: for a lone
+        # sender while every other node is on the bus, just the sender.
+        if len(still) == 1 and not self._bus_off and not self._missed:
+            skip = (still[0].node,)
+        else:
+            skip = {entry.node for entry in still} | self._bus_off | self._missed
         # A success at a zero counter changes nothing, so only a transmitter
         # with tec > 0 and a receiver with rec > 0 need the update.
         for entry in still:
@@ -566,7 +599,7 @@ class Bus:
             if n not in skip:
                 n.received.append(frame)
         for entry in still:
-            self._emit(EventKind.FRAME_DELIVERED, entry.node.name, entry.frame, deliver_t)
+            self._emit(_FRAME_DELIVERED, entry.node.name, entry.frame, deliver_t)
         self._end_slot(t)
 
     # -- convenience -----------------------------------------------------

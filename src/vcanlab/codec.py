@@ -21,7 +21,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .frame import Frame, FrameId, FrameKind
+from .frame import Frame, FrameId
+# Enum members bound once, as frame.py explains.
+from .frame import _DATA, _REMOTE
 
 DOMINANT = 0
 RECESSIVE = 1
@@ -176,7 +178,7 @@ def destuff(bits: Sequence[int]) -> BitStream:
 
 def frame_body_bits(frame: Frame) -> BitStream:
     """Unstuffed SOF-through-data region (the CRC input)."""
-    rtr = 0 if frame.kind is FrameKind.DATA else 1
+    rtr = 0 if frame.kind is _DATA else 1
     v = frame.id.value
     bits: BitStream = [DOMINANT]  # SOF
     if not frame.id.extended:
@@ -188,7 +190,7 @@ def frame_body_bits(frame: Frame) -> BitStream:
         bits += [(v >> i) & 1 for i in range(17, -1, -1)]
         bits += [rtr, 0, 0]  # RTR, r1, r0
     bits += [(frame.dlc >> i) & 1 for i in range(3, -1, -1)]
-    if frame.kind is FrameKind.DATA:
+    if frame.kind is _DATA:
         for byte in frame.payload:
             bits += [(byte >> i) & 1 for i in range(7, -1, -1)]
     return bits
@@ -272,7 +274,7 @@ def wire_plan(frame: Frame) -> WirePlan:
     built from :func:`stuff_with_positions`, then the recessive tail."""
     v = frame.id.value
     dlc = frame.dlc
-    rtr = 0 if frame.kind is FrameKind.DATA else 1
+    rtr = 0 if frame.kind is _DATA else 1
     if frame.id.extended:
         # SOF ID[28:18] SRR IDE ID[17:0] RTR r1 r0 DLC
         body = (v >> 18) << 27 | 3 << 25 | (v & 0x3FFFF) << 7 | rtr << 6 | dlc
@@ -325,7 +327,7 @@ def frame_bit_length(frame: Frame, stuffed: bool = False) -> int:
     if stuffed:
         return wire_plan(frame).total_len
     header = _EXT_HEADER_BITS if frame.id.extended else _STD_HEADER_BITS
-    data = 8 * frame.dlc if frame.kind is FrameKind.DATA else 0
+    data = 8 * frame.dlc if frame.kind is _DATA else 0
     return header + data + CRC_WIDTH + TAIL_BITS
 
 
@@ -439,11 +441,11 @@ def decode_frame(bits: Sequence[int]) -> Frame:
 
     frame_id = FrameId(id_value, extended=extended)
     if rtr == "1":
-        return Frame(frame_id, FrameKind.REMOTE, dlc, b"")
+        return Frame(frame_id, _REMOTE, dlc, b"")
     if not dlc:
-        return Frame(frame_id, FrameKind.DATA, 0, b"")
+        return Frame(frame_id, _DATA, 0, b"")
     payload = int(flat[header:header + data_bits], 2).to_bytes(dlc, "big")
-    return Frame(frame_id, FrameKind.DATA, dlc, payload)
+    return Frame(frame_id, _DATA, dlc, payload)
 
 
 def bits_to_string(bits: Sequence[int]) -> str:
@@ -467,7 +469,7 @@ def frame_to_text(frame: Frame) -> str:
     extended, ``123#R4`` for remote frames."""
     width = 8 if frame.id.extended else 3
     ident = f"{frame.id.value:0{width}X}"
-    if frame.kind is FrameKind.REMOTE:
+    if frame.kind is _REMOTE:
         return f"{ident}#R{frame.dlc}"
     return f"{ident}#{frame.payload.hex().upper()}"
 
@@ -486,7 +488,7 @@ def frame_from_text(text: str) -> Frame:
         raise ValueError(f"invalid identifier hex {ident!r}") from None
     frame_id = FrameId(id_value, extended=extended)
     if rest.startswith("R"):
-        return Frame(frame_id, FrameKind.REMOTE, int(rest[1:] or "0"), b"")
+        return Frame(frame_id, _REMOTE, int(rest[1:] or "0"), b"")
     if len(rest) % 2:
         raise ValueError("data hex must have an even number of digits")
-    return Frame(frame_id, FrameKind.DATA, len(rest) // 2, bytes.fromhex(rest))
+    return Frame(frame_id, _DATA, len(rest) // 2, bytes.fromhex(rest))

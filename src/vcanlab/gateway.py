@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import enum
 
-from .frame import Frame, FrameId, FrameKind, MAX_EXTENDED_ID, MAX_STANDARD_ID
+from .frame import Frame, FrameId, MAX_EXTENDED_ID, MAX_STANDARD_ID
+# Enum members bound once, as frame.py explains.
+from .frame import _DATA, _REMOTE
 from .node import BusOffError, Node
 
 CR = b"\r"
@@ -83,25 +85,25 @@ def parse_serial_line(data: bytes) -> Frame:
         if body:
             raise SerialParseError(ParseReason.LENGTH_MISMATCH,
                                    "remote frame carries no data")
-        return Frame(frame_id, FrameKind.REMOTE, dlc, b"")
+        return Frame(frame_id, _REMOTE, dlc, b"")
     if len(body) != 2 * dlc:
         raise SerialParseError(ParseReason.LENGTH_MISMATCH,
                                f"expected {2 * dlc} data digits, got {len(body)}")
     if not _HEX.issuperset(body):
         for i in range(0, len(body), 2):  # name the first bad byte pair
             _hex_field(body[i:i + 2], "data")
-    return Frame(frame_id, FrameKind.DATA, dlc, bytes.fromhex(body))
+    return Frame(frame_id, _DATA, dlc, bytes.fromhex(body))
 
 
 def format_serial_line(frame: Frame) -> bytes:
     """Exact inverse of :func:`parse_serial_line`; uppercase hex, CR terminated."""
     if frame.id.extended:
-        cmd = "T" if frame.kind is FrameKind.DATA else "R"
+        cmd = "T" if frame.kind is _DATA else "R"
         ident = f"{frame.id.value:08X}"
     else:
-        cmd = "t" if frame.kind is FrameKind.DATA else "r"
+        cmd = "t" if frame.kind is _DATA else "r"
         ident = f"{frame.id.value:03X}"
-    data = frame.payload.hex().upper() if frame.kind is FrameKind.DATA else ""
+    data = frame.payload.hex().upper() if frame.kind is _DATA else ""
     return f"{cmd}{ident}{frame.dlc:X}{data}".encode("ascii") + CR
 
 

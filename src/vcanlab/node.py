@@ -118,7 +118,7 @@ def observe_recovery(state: NodeState, consecutive_recessive_bits: int) -> NodeS
     node rejoins error-active with cleared counters. A run that completes no
     group returns ``state`` itself.
     """
-    if state.mode is not NodeMode.BUS_OFF:
+    if state.mode is not _BUS_OFF:
         raise InvalidStateError("recovery only applies to a bus-off node")
     if consecutive_recessive_bits < 0:
         raise ValueError(
@@ -179,7 +179,7 @@ class Node:
 
     def submit(self, frame: Frame) -> None:
         """Queue a frame for transmission, ordered by arbitration priority."""
-        if self.state.mode is NodeMode.BUS_OFF:
+        if self.state.mode is _BUS_OFF:
             raise BusOffError(f"node {self.name} is bus-off")
         bisect.insort(self.queue, QueuedFrame(frame, self))
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .bus import Bus, BusConfig, ScheduleEntry
-from .frame import Frame, FrameId, FrameKind
+from .frame import Frame, FrameId
+# Enum members bound once, as frame.py explains.
+from .frame import _DATA
 
 ADC_BITS = 10
 ADC_MAX = (1 << ADC_BITS) - 1
@@ -115,11 +117,11 @@ def sample_reading(true_temp_c: float, cfg: SensorConfig) -> SensorReading:
 def build_reading_frame(cfg: SensorConfig, reading: SensorReading) -> Frame:
     """4-byte data frame: big-endian adc code then signed centidegrees."""
     payload = struct.pack(">Hh", reading.adc_code, reading.temperature_centideg)
-    return Frame(cfg.frame_id, FrameKind.DATA, 4, payload)
+    return Frame(cfg.frame_id, _DATA, 4, payload)
 
 
 def parse_reading_frame(frame: Frame) -> SensorReading:
-    if frame.kind is not FrameKind.DATA or frame.dlc != 4:
+    if frame.kind is not _DATA or frame.dlc != 4:
         raise ValueError("not a sensor reading frame")
     code, centideg = struct.unpack(">Hh", frame.payload)
     return SensorReading(code, centideg)

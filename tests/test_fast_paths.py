@@ -9,8 +9,8 @@ from vcanlab.bus import INTERMISSION_BITS, Bus, BusConfig, EventKind, ScheduleEn
 from vcanlab.codec import DOMINANT, RECESSIVE, TAIL_BITS, encode_frame, wire_plan
 from vcanlab.frame import data_frame, remote_frame
 from vcanlab.gateway import GatewaySession, format_serial_line
-from vcanlab.node import (ERROR_PASSIVE_LIMIT, RECOVERY_GROUP_BITS, RECOVERY_GROUPS,
-                          AcceptanceFilter, NodeMode, NodeState, accepts)
+from vcanlab.node import (BUS_OFF_LIMIT, ERROR_PASSIVE_LIMIT, RECOVERY_GROUP_BITS,
+                          RECOVERY_GROUPS, AcceptanceFilter, NodeMode, NodeState, accepts)
 
 from oracles import tick_recovery
 
@@ -214,14 +214,47 @@ def received_by_trace(nodes, trace, presets):
     return [received[name] for name, _ in nodes]
 
 
+def bus_off_breaches(nodes, trace, presets, status):
+    """What breaks the bus-off rule in a run: an event that names a node
+    between its ``BusOffEntered`` or preset and its ``BusOffRecovered``,
+    other than that recovery; and a node that ends the run bus-off with
+    other counters than it went bus-off with: a preset's tec 256 and rec 0,
+    or after ``BusOffEntered`` a tec above ``BUS_OFF_LIMIT``. Presets and
+    deliveries are placed as in ``received_by_trace``."""
+    forced = sorted((bit, name) for bit, names, _ in presets for name in names)
+    off = {}  # each bus-off node: whether a preset put it there
+    breaches = []
+    for e in trace:
+        at = (e.time_bits - INTERMISSION_BITS - 1 if e.kind is EventKind.FRAME_DELIVERED
+              else e.time_bits)
+        while forced and forced[0][0] <= at:
+            off[forced.pop(0)[1]] = True
+        if e.kind is EventKind.BUS_OFF_RECOVERED:
+            del off[e.node]
+        elif e.node in off:
+            breaches.append(e)
+        elif e.kind is EventKind.BUS_OFF_ENTERED:
+            off[e.node] = False
+    off.update((name, True) for _, name in forced)
+    for (name, _), line in zip(nodes, status):
+        if name in off:
+            fields = dict(field.split("=") for field in line.split()[1:])
+            tec, rec = int(fields["tec"]), int(fields["rec"])
+            if (fields["mode"] != "bus-off" or tec <= BUS_OFF_LIMIT
+                    or off[name] and (tec, rec) != (256, 0)):
+                breaches.append(line)
+    return breaches
+
+
 @settings(max_examples=150, deadline=None, phases=WITHOUT_EXPLAIN)
 @given(scenarios())
 def test_skips_match_plain_stepping(scn):
     nodes, _, _, _, presets = scn
     got = run_whole(scn, True)
     assert got == run_whole(scn, False)
-    trace, _, received = got
+    trace, status, received = got
     assert received == received_by_trace(nodes, trace, presets)
+    assert bus_off_breaches(nodes, trace, presets, status) == []
     # Nodes that recover at one bit rejoin in attach order.
     attach = {name: i for i, (name, _) in enumerate(nodes)}
     rejoins = [(e.time_bits, attach[e.node]) for e in trace
@@ -236,8 +269,9 @@ def test_split_run_equals_one_run(scn, data):
     split = data.draw(st.integers(0, horizon))
     got, calls = run_scenario(scn, [split])
     assert got == run_whole(scn, True)
-    trace, _, received = got
+    trace, status, received = got
     assert received == received_by_trace(nodes, trace, presets)
+    assert bus_off_breaches(nodes, trace, presets, status) == []
     # FrameDelivered is stamped at the end of intermission, after the last
     # simulated bit; every other event happens at a simulated bit.
     for until, events in calls:
@@ -712,3 +746,93 @@ def test_split_inside_an_idle_intermission(offset):
     assert recoveries(got[0]) == [("ghost", LAST_INTERMISSION_BIT)]
     assert [(e.node, e.time_bits) for e in got[0] if e.kind is EventKind.TX_START] == [
         ("solo", 0), ("peer", second_at)]
+
+
+# The frame a node forced bus-off between runs was sending.
+SHORT = data_frame(0x100, bytes(2))
+SHORT_LEN = wire_plan(SHORT).total_len
+
+
+@pytest.mark.parametrize("skip", [True, False])
+def test_sender_forced_bus_off_leaves_the_wire(monkeypatch, skip):
+    # Put bus-off after any bit of its frame, the sender drives no further
+    # bit: nothing names it, its frame stays queued and its tec at 256, and
+    # the slot ends as if aborted at the last bit simulated. So the peer's
+    # frame, queued meanwhile, starts after an intermission, and the third
+    # node receives only that frame.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    for split in range(1, SHORT_LEN):
+        bus = lone_bus()
+        bus.attach_node("third")
+        first = bus.run([ScheduleEntry(0, "solo", SHORT), ScheduleEntry(1, "peer", LONE)],
+                        split)
+        assert [(e.kind, e.node) for e in first] == [(EventKind.TX_START, "solo")]
+        force_bus_off(bus.nodes["solo"])
+        trace = bus.run([], split + 300)
+        start = split + INTERMISSION_BITS
+        assert [(e.kind, e.node, e.time_bits) for e in trace] == [
+            (EventKind.TX_START, "peer", start),
+            (EventKind.FRAME_DELIVERED, "peer", start + PLAN.total_len + INTERMISSION_BITS)
+        ], split
+        assert bus.status_lines()[0] == "solo mode=bus-off tec=256 rec=0 queued=1 delivered=0"
+        assert bus.nodes["third"].received == [LONE]
+
+
+@pytest.mark.parametrize("skip", [True, False])
+def test_identical_sender_forced_bus_off(monkeypatch, skip):
+    # Of two nodes sending the same frame, one is put bus-off after any bit
+    # of it. The other sends the frame alone and is delivered once, and the
+    # third node receives it once.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    for split in range(1, SHORT_LEN):
+        bus = Bus(BusConfig())
+        for name in ("a", "b", "c"):
+            bus.attach_node(name)
+        first = bus.run([ScheduleEntry(0, "a", SHORT), ScheduleEntry(0, "b", SHORT)], split)
+        force_bus_off(bus.nodes["a"])
+        trace = first + bus.run([], split + 300)
+        assert [(e.kind, e.node, e.time_bits) for e in trace] == [
+            (EventKind.TX_START, "a", 0), (EventKind.TX_START, "b", 0),
+            (EventKind.FRAME_DELIVERED, "b", SHORT_LEN + INTERMISSION_BITS)], split
+        assert bus.status_lines()[:2] == [
+            "a mode=bus-off tec=256 rec=0 queued=1 delivered=0",
+            "b mode=error-active tec=0 rec=0 queued=0 delivered=1"]
+        assert bus.nodes["c"].received == [SHORT]
+
+
+@pytest.mark.parametrize("ghost", [False, True])
+@pytest.mark.parametrize("level", [DOMINANT, RECESSIVE])
+def test_fault_at_each_bit_of_a_lone_frame(level, ghost):
+    # The in-frame skip stops at the next fault and goes on after it. So a
+    # fault of either level at any bit of a lone frame or its intermission,
+    # with or without a bus-off node to credit, gives what plain stepping
+    # gives; the peer's frame queued meanwhile then follows.
+    def go(at):
+        bus = lone_bus()
+        if ghost:
+            force_bus_off(bus.attach_node("ghost"), RECOVERY_GROUPS - 1)
+        bus.inject_fault(at, level)
+        return outcome(bus, bus.run([ScheduleEntry(0, "solo", LONE),
+                                     ScheduleEntry(40, "peer", LONE)], 4 * PLAN.total_len))
+
+    for at in range(PLAN.total_len + INTERMISSION_BITS):
+        assert go(at) == with_skip(False, go, at), at
+
+
+def test_a_lone_frame_takes_one_step(monkeypatch):
+    # Twenty frames queued at once on one node: each is sent, delivered and
+    # its intermission jumped in one step, and one more step runs the bus
+    # idle to the horizon.
+    steps = []
+    step = Bus._step
+
+    def counted(bus, until_bits):
+        steps.append(bus.now)
+        return step(bus, until_bits)
+
+    monkeypatch.setattr(Bus, "_step", counted)
+    bus = lone_bus()
+    horizon = 30 * (PLAN.total_len + INTERMISSION_BITS)
+    bus.run([ScheduleEntry(0, "solo", LONE)] * 20, horizon)
+    assert bus.nodes["solo"].delivered == 20
+    assert len(steps) <= 21

@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+from vcanlab.bus import Bus
 from vcanlab.node import NodeMode, NodeState
 from vcanlab.scenario import format_trace_event, parse_scenario
 
@@ -57,8 +58,14 @@ def test_corpus_present():
     assert "criterion10" in CASES and len(CASES) >= 20
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_golden_trace(name):
+# Each trace with the skips on, then with plain stepping (``-stepped``), the
+# reference the skips must match: the corpus's faults, bus-off presets and
+# splits check the fast paths against it.
+@pytest.mark.parametrize("name,skip", [(name, skip) for name in CASES for skip in (True, False)],
+                         ids=[name + ("" if skip else "-stepped")
+                              for name in CASES for skip in (True, False)])
+def test_golden_trace(monkeypatch, name, skip):
+    monkeypatch.setattr(Bus, "_SKIP", skip)
     assert render(name) == (GOLDEN / f"{name}.out").read_text()
 
 
