@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import enum
 import heapq
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -251,6 +250,11 @@ class Bus:
         self._events.append(_new_event(
             TraceEvent, (time_bits, self._stamp(time_bits), node, kind, frame)))
 
+    def _emit_faults(self, bits: Sequence[int]) -> None:
+        self._events += [_new_event(TraceEvent, (bit, self._stamp(bit), None,
+                                                 _FAULT_INJECTED, None))
+                         for bit in bits]
+
     def _apply_counter(self, node: Node, event: CounterEvent, t: int) -> None:
         old = node.state
         new = update_counters(old, event)
@@ -266,14 +270,16 @@ class Bus:
             self._bus_off.add(node)
             self._emit(EventKind.BUS_OFF_ENTERED, node.name, None, t)
 
-    def _credit(self, runs: Sequence[int], t: int) -> int:
+    def _credit(self, runs: Sequence[int], t: int, faults: Sequence[int] = ()) -> int:
         """Credit the bits from ``t`` on to each bus-off node's recovery count,
         and return how many were credited.
 
         ``runs`` are the lengths of the recessive runs in order, one dominant
         bit between each two, so one bit is ``(1,)`` or ``(0, 0)``. The credit
         ends with the first bit at which a node completes its last group; the
-        nodes that do so there rejoin the bus, in attach order.
+        nodes that do so there rejoin the bus, in attach order. ``faults`` are
+        the stretch's fault bits in order: each one credited gets its
+        ``FaultInjected`` event, ahead of the recoveries, as stepping gives.
         """
         n = sum(runs) + len(runs) - 1
         counts = []
@@ -288,11 +294,13 @@ class Bus:
                             * RECOVERY_GROUP_BITS - partial)
                     if run >= need and used + need < n:
                         # It recovers inside the stretch: credit that far.
-                        return self._credit(_first_bits(runs, used + need), t)
+                        return self._credit(_first_bits(runs, used + need), t, faults)
                     state = observe_recovery(state, end)
                 used += run + 1
                 partial = 0  # the dominant bit after a run restarts the count
             counts.append((node, state, end % RECOVERY_GROUP_BITS))
+        if faults:
+            self._emit_faults(faults[:bisect.bisect_left(faults, t + n)])
         rejoined = []
         for node, state, partial in counts:
             node.state, node.partial_recessive = state, partial
@@ -327,10 +335,11 @@ class Bus:
                 return True
         return False
 
-    def _next_fault(self, t: int) -> float:
-        """The first fault bit at or after ``t``, or ``math.inf``."""
-        i = bisect.bisect_left(self._fault_bits, t)
-        return self._fault_bits[i] if i < len(self._fault_bits) else math.inf
+    def _faults_in(self, t: int, stop: int) -> List[int]:
+        """The fault bits from ``t`` up to ``stop``, in order."""
+        bits = self._fault_bits
+        i = bisect.bisect_left(bits, t)
+        return bits[i:bisect.bisect_left(bits, stop, i)]
 
     # -- simulation ------------------------------------------------------
 
@@ -415,26 +424,35 @@ class Bus:
                 return
             return self._tx_bit(self._t, until_bits)
 
-        # Intermission or idle: only a fault drives the bus, and no frame can
+        # Intermission or idle: only a fault drives the bus, its level read
+        # by nothing but the bus-off nodes' recovery count, and no frame can
         # start before the intermission ends. So the bus may jump to the next
-        # arrival, fault or horizon, crediting the recessive bits it skips to
-        # the bus-off nodes; while a node on the bus has a frame queued, only
-        # to the intermission's end. A node that recovers in that stretch may
-        # hold a queued frame, so the jump ends with the bit it recovers at.
-        resolved = self._faults.get(t, RECESSIVE)
-        if t in self._faults:
-            self._emit(_FAULT_INJECTED, None, None, t)
-        n = 1
+        # arrival or the horizon, over any faults, crediting the bits it skips
+        # to the bus-off nodes, the recessive runs split at the dominant
+        # faults; while a node on the bus has a frame queued, only to the
+        # intermission's end. A node that recovers in that stretch may hold a
+        # queued frame, so the jump ends with the bit it recovers at, and the
+        # faults after that bit are left to the next step.
+        nxt = t + 1
         if self._SKIP:
-            nxt = min(until_bits, self._next_fault(t + 1))
+            nxt = until_bits
             if self._pending:
                 nxt = min(nxt, self._pending[0][0])
             if nxt > self._free > t and self._queued():
                 nxt = self._free
-            n = nxt - t
+        faults = self._faults_in(t, nxt)
         if self._bus_off:
-            n = self._credit((n,) if resolved == RECESSIVE else (0, n - 1), t)
-        self._t = t + n
+            runs = []
+            run_start = t
+            for bit in faults:
+                if self._faults[bit] == DOMINANT:
+                    runs.append(bit - run_start)
+                    run_start = bit + 1
+            runs.append(nxt - run_start)
+            nxt = t + self._credit(runs, t, faults)
+        elif faults:
+            self._emit_faults(faults)
+        self._t = nxt
 
     def _end_slot(self, t: int) -> None:
         self._active = []
@@ -446,24 +464,36 @@ class Bus:
         next, and return whether that ended the step.
 
         Only a bus-off node's recovery can change a mode inside the frame, and
-        the skip ends with that. The skip covers bits k .. stop - 1. It stops
-        at the next fault bit, which is stepped, and at the horizon, so the
-        ACK slot is decided by the run that simulates it; and before the ACK
-        slot unless another node will ACK. Otherwise it runs through the last
-        EOF bit and delivers the frame. While no node is bus-off, nothing but
-        arrivals can happen in a fault-free intermission, and each arrival is
-        queued; so when the horizon lies past the intermission, the step
-        jumps it too.
+        the skip ends with that. The skip covers bits k .. stop - 1. It passes
+        each fault that shows the level the bus shows at its bit anyway: the
+        frame's own level, or dominant at an ACK slot another node
+        acknowledges. Such a fault changes only the trace, which gets its
+        ``FaultInjected`` event. The skip stops at the first other fault,
+        which is stepped, and at the horizon, so the ACK slot is decided by
+        the run that simulates it; and before the ACK slot unless another
+        node will ACK. Otherwise it runs through the last EOF bit and
+        delivers the frame. While no node is bus-off, nothing but arrivals
+        can happen in a fault-free intermission, and each arrival is queued;
+        so when the horizon lies past the intermission, the step jumps it too.
         """
         active = self._active
         plan = active[0].enc
         k = self._k
         end = plan.total_len
         ack = plan.ack_idx
-        fault = self._next_fault(t)
         stop = end if k > ack or self._acked(active) else ack
-        stop = min(stop, k + until_bits - t, k + fault - t)
-        if stop > k and self._bus_off:
+        stop = min(stop, k + until_bits - t)
+        faults = self._faults_in(t, t + stop - k)
+        # An ACK slot inside the stretch is another node's ACK: dominant.
+        for i, bit in enumerate(faults):
+            j = k + bit - t
+            if self._faults[bit] != (DOMINANT if j == ack else plan.stream[j]):
+                stop = j
+                del faults[i:]
+                break
+        if stop == k:
+            return False
+        if self._bus_off:
             # A frame that arrives for a bus-off node is dropped, so no
             # recovery is credited before the arrivals up to its bit.
             if self._pending:
@@ -472,15 +502,16 @@ class Bus:
             levels = plan.stream[k:stop]
             if k <= ack < stop:
                 levels = levels[:ack - k] + _DOMINANT_BIT + levels[ack - k + 1:]
-            stop = k + self._credit([len(run) for run in levels.split(_DOMINANT_BIT)], t)
-        if stop == k:
-            return False
+            stop = k + self._credit([len(run) for run in levels.split(_DOMINANT_BIT)],
+                                    t, faults)
+        elif faults:
+            self._emit_faults(faults)
         t += stop - k
         self._k = stop
         self._t = t
         if stop == end:
             free = t + INTERMISSION_BITS
-            jump = not self._bus_off and until_bits >= free and fault >= free
+            jump = not self._bus_off and until_bits >= free and not self._faults_in(t, free)
             self._pop_arrivals(free - 1 if jump else t - 1)
             self._deliver(active, t - 1)
             if jump:

@@ -43,8 +43,9 @@ class FrameId:
     def __post_init__(self) -> None:
         limit = MAX_EXTENDED_ID if self.extended else MAX_STANDARD_ID
         if not 0 <= self.value <= limit:
+            sign = "-" if self.value < 0 else ""
             raise IdOutOfRangeError(
-                f"id 0x{self.value:X} outside "
+                f"id {sign}0x{abs(self.value):X} outside "
                 f"{'29-bit extended' if self.extended else '11-bit standard'} range"
             )
 

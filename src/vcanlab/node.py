@@ -7,7 +7,7 @@ import bisect
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .frame import Frame, FrameId, arbitration_key
 
@@ -71,12 +71,19 @@ def accepts(filt: AcceptanceFilter, frame_id: FrameId) -> bool:
     return (frame_id.value & filt.mask) == (filt.code & filt.mask)
 
 
-@dataclass(frozen=True)
-class NodeState:
+class NodeState(NamedTuple):
+    """A node's error counters, fault-confinement mode and completed recovery
+    groups. A named tuple: it compares equal to a plain tuple of its fields."""
+
     tec: int = 0
     rec: int = 0
     mode: NodeMode = NodeMode.ERROR_ACTIVE
     recessive_run_groups: int = 0
+
+
+# NodeState's generated __new__ is a Python function; the counter updates pass
+# all four fields and build their states with the tuple constructor directly.
+_new_state = tuple.__new__
 
 
 def _mode_for(tec: int, rec: int, bus_off: bool) -> NodeMode:
@@ -108,7 +115,7 @@ def update_counters(state: NodeState, event: CounterEvent) -> NodeState:
     mode = _mode_for(tec, rec, bus_off)
     if tec == state.tec and rec == state.rec and mode is state.mode:
         return state
-    return NodeState(tec, rec, mode, state.recessive_run_groups)
+    return _new_state(NodeState, (tec, rec, mode, state.recessive_run_groups))
 
 
 def observe_recovery(state: NodeState, consecutive_recessive_bits: int) -> NodeState:
@@ -129,7 +136,7 @@ def observe_recovery(state: NodeState, consecutive_recessive_bits: int) -> NodeS
     groups = state.recessive_run_groups + completed
     if groups >= RECOVERY_GROUPS:
         return NodeState()
-    return NodeState(state.tec, state.rec, state.mode, groups)
+    return _new_state(NodeState, (state.tec, state.rec, state.mode, groups))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .bus import Bus, BusConfig, ScheduleEntry
-from .frame import Frame, FrameId
+from .frame import MAX_STANDARD_ID, Frame, FrameId
 # Enum members bound once, as frame.py explains.
 from .frame import _DATA
 
@@ -24,8 +24,10 @@ ADC_MAX = (1 << ADC_BITS) - 1
 DEFAULT_SETPOINTS_C = (20.00, 22.50, 23.00, 25.30, 30.00, 16.00, 19.50, 22.00)
 DEFAULT_SETPOINT_TABLE = DEFAULT_SETPOINTS_C * 2
 
-# Channel n reports as standard id READING_BASE_ID + n.
+# Channel n reports as standard id READING_BASE_ID + n, so channels run
+# from 0 to MAX_CHANNEL, whose reading id is the last standard id.
 READING_BASE_ID = 0x100
+MAX_CHANNEL = MAX_STANDARD_ID - READING_BASE_ID
 
 
 class OutOfRangeError(ValueError):
@@ -46,6 +48,10 @@ class SensorConfig:
     def __post_init__(self) -> None:
         if not self.range_min_c < self.range_max_c:
             raise ValueError("range_min_c must be below range_max_c")
+        if not 0 <= self.channel <= MAX_CHANNEL:
+            raise ValueError(
+                f"channel {self.channel} outside 0..0x{MAX_CHANNEL:X}: its reading id "
+                f"0x{READING_BASE_ID:X} + channel must be a standard id")
 
     @property
     def span_c(self) -> float:

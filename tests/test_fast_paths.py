@@ -102,9 +102,10 @@ def presets(draw, nodes, schedule, horizon, faults):
 @st.composite
 def scenarios(draw):
     """Up to twelve nodes, some with standard or extended acceptance filters,
-    contending frames, faults anywhere up to the horizon, dominant bursts
-    that drive senders bus-off, and sometimes nodes forced bus-off together
-    with frames that arrive for them (see ``presets``)."""
+    contending frames, faults anywhere up to the horizon, bursts of either
+    level, of which dominant ones drive senders bus-off, and sometimes nodes
+    forced bus-off together with frames that arrive for them (see
+    ``presets``)."""
     n = draw(st.integers(1, 12))
     nodes = [(f"n{i}", draw(NODE_FILTERS)) for i in range(n)]
     horizon = draw(st.integers(1, 12_000))
@@ -112,9 +113,9 @@ def scenarios(draw):
     schedule = draw(st.lists(
         st.builds(ScheduleEntry, st.integers(0, 3_000), senders, FRAMES), max_size=12))
     faults = draw(st.lists(st.tuples(st.integers(0, horizon), LEVELS), max_size=40))
-    for start, length in draw(st.lists(
-            st.tuples(st.integers(0, horizon), st.integers(100, 400)), max_size=3)):
-        faults += [(bit, DOMINANT) for bit in range(start, start + length)]
+    for start, length, level in draw(st.lists(
+            st.tuples(st.integers(0, horizon), st.integers(100, 400), LEVELS), max_size=3)):
+        faults += [(bit, level) for bit in range(start, start + length)]
     forced = []
     for preset, arrivals in draw(st.lists(presets(nodes, schedule, horizon, faults),
                                            max_size=2)):
@@ -474,27 +475,54 @@ def recoveries(trace):
 TAIL_AFTER_ACK = range(PLAN.ack_idx + 1, PLAN.total_len)
 
 
-@pytest.mark.parametrize("skip", [True, False])
-@pytest.mark.parametrize("at", TAIL_AFTER_ACK)
-def test_recovery_inside_a_lone_frames_tail(monkeypatch, skip, at):
-    # The run stops at the ACK delimiter, where a third node is put one
-    # group short of recovery, so that it recovers at bit ``at`` of the
-    # frame's recessive tail. It was bus-off at the frame's SOF, so it never
-    # receives the frame, wherever in the tail it recovers. The recovery is
-    # credited before the slot ends, so even at the last EOF bit its event
-    # is listed before the frame's delivery.
-    monkeypatch.setattr(Bus, "_SKIP", skip)
+def recover_in_the_tail(at, faults=()):
+    """Run LONE with a third node, the ghost, put bus-off at the ACK
+    delimiter so that it recovers at bit ``at`` of the frame's recessive
+    tail, and with recessive ``faults``. Returns the bus and its trace."""
     bus = lone_bus()
     ghost = bus.attach_node("ghost")
     first = bus.run([ScheduleEntry(0, "solo", LONE)], PLAN.ack_idx + 1)
     force_bus_off(ghost, RECOVERY_GROUPS - 1, RECOVERY_GROUP_BITS + PLAN.ack_idx - at)
-    trace = first + bus.run([], 2 * PLAN.total_len)
+    for bit in faults:
+        bus.inject_fault(bit, RECESSIVE)
+    return bus, first + bus.run([], 2 * PLAN.total_len)
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("at", TAIL_AFTER_ACK)
+def test_recovery_inside_a_lone_frames_tail(monkeypatch, skip, at):
+    # It was bus-off at the frame's SOF, so the ghost never receives the
+    # frame, wherever in the tail it recovers. The recovery is credited
+    # before the slot ends, so even at the last EOF bit its event is listed
+    # before the frame's delivery.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus, trace = recover_in_the_tail(at)
     assert [(e.kind, e.node, e.time_bits) for e in trace] == [
         (EventKind.TX_START, "solo", 0),
         (EventKind.BUS_OFF_RECOVERED, "ghost", at),
         (EventKind.FRAME_DELIVERED, "solo", PLAN.total_len + INTERMISSION_BITS)]
     assert bus.nodes["peer"].received == [LONE]
-    assert ghost.received == []
+    assert bus.nodes["ghost"].received == []
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("at", TAIL_AFTER_ACK)
+def test_agreeing_fault_at_a_recovery_bit_in_a_lone_frames_tail(monkeypatch, skip, at):
+    # A recessive fault at the ghost's recovery bit, and at the bit after
+    # it, changes only the trace. A fault's event comes before a recovery at
+    # its bit, the next one after it; and one in the intermission, which
+    # follows the last EOF bit, after the delivery.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    _, trace = recover_in_the_tail(at, [at, at + 1])
+    last = [(EventKind.FAULT_INJECTED, None, at + 1),
+            (EventKind.FRAME_DELIVERED, "solo", PLAN.total_len + INTERMISSION_BITS)]
+    if at + 1 == PLAN.total_len:
+        last.reverse()
+    assert [(e.kind, e.node, e.time_bits) for e in trace] == [
+        (EventKind.TX_START, "solo", 0),
+        (EventKind.FAULT_INJECTED, None, at),
+        (EventKind.BUS_OFF_RECOVERED, "ghost", at),
+        *last]
 
 
 @pytest.mark.parametrize("skip", [True, False])
@@ -570,6 +598,24 @@ def test_fault_in_a_bus_off_idle_stretch_restarts_the_count(monkeypatch, skip, f
     trace = bus.run([], 5_000)
     unbroken = RECOVERY_GROUPS * RECOVERY_GROUP_BITS - 1
     assert recoveries(trace) == [("ghost", unbroken + fault_at % RECOVERY_GROUP_BITS + 1)]
+
+
+@pytest.mark.parametrize("skip", [True, False])
+def test_idle_faults_around_a_recovery_keep_their_order(monkeypatch, skip):
+    # One group short, the ghost recovers at idle bit 10, under recessive
+    # faults at bits 5 to 15: those up to its recovery bit come before its
+    # event, the rest after it.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus = lone_bus()
+    force_bus_off(bus.attach_node("ghost"), RECOVERY_GROUPS - 1)
+    for bit in range(5, 16):
+        bus.inject_fault(bit, RECESSIVE)
+    trace = bus.run([], 100)
+    at = RECOVERY_GROUP_BITS - 1
+    assert [(e.kind, e.time_bits) for e in trace] == (
+        [(EventKind.FAULT_INJECTED, bit) for bit in range(5, at + 1)]
+        + [(EventKind.BUS_OFF_RECOVERED, at)]
+        + [(EventKind.FAULT_INJECTED, bit) for bit in range(at + 1, 16)])
 
 
 @pytest.mark.parametrize("skip", [True, False])
@@ -800,39 +846,118 @@ def test_identical_sender_forced_bus_off(monkeypatch, skip):
         assert bus.nodes["c"].received == [SHORT]
 
 
+def lone_level(plan, k):
+    """The level the bus shows at bit ``k`` of a lone frame another node ACKs."""
+    return DOMINANT if k == plan.ack_idx else plan.stream[k]
+
+
+def lone_frame_with_faults(at, level, ghost, lead):
+    """The outcome of LONE and the peer's frame queued meanwhile, with a
+    fault of ``level`` at ``at``, after a fault that agrees with the bus at
+    each frame bit before it if ``lead``, and with or without a bus-off node
+    to credit."""
+    bus = lone_bus()
+    if ghost:
+        force_bus_off(bus.attach_node("ghost"), RECOVERY_GROUPS - 1)
+    for k in range(min(at, PLAN.total_len) if lead else 0):
+        bus.inject_fault(k, lone_level(PLAN, k))
+    bus.inject_fault(at, level)
+    return outcome(bus, bus.run([ScheduleEntry(0, "solo", LONE),
+                                 ScheduleEntry(40, "peer", LONE)], 4 * PLAN.total_len))
+
+
 @pytest.mark.parametrize("ghost", [False, True])
 @pytest.mark.parametrize("level", [DOMINANT, RECESSIVE])
 def test_fault_at_each_bit_of_a_lone_frame(level, ghost):
-    # The in-frame skip stops at the next fault and goes on after it. So a
-    # fault of either level at any bit of a lone frame or its intermission,
-    # with or without a bus-off node to credit, gives what plain stepping
-    # gives; the peer's frame queued meanwhile then follows.
-    def go(at):
-        bus = lone_bus()
-        if ghost:
-            force_bus_off(bus.attach_node("ghost"), RECOVERY_GROUPS - 1)
-        bus.inject_fault(at, level)
-        return outcome(bus, bus.run([ScheduleEntry(0, "solo", LONE),
-                                     ScheduleEntry(40, "peer", LONE)], 4 * PLAN.total_len))
-
+    # The in-frame skip stops at a fault that disagrees with the bus and
+    # steps it. So a fault of either level at any bit of a lone frame or its
+    # intermission, with or without a bus-off node to credit, gives what
+    # plain stepping gives.
     for at in range(PLAN.total_len + INTERMISSION_BITS):
-        assert go(at) == with_skip(False, go, at), at
+        args = (at, level, ghost, False)
+        assert lone_frame_with_faults(*args) == with_skip(False, lone_frame_with_faults, *args), at
 
 
-def test_a_lone_frame_takes_one_step(monkeypatch):
-    # Twenty frames queued at once on one node: each is sent, delivered and
-    # its intermission jumped in one step, and one more step runs the bus
-    # idle to the horizon.
-    steps = []
+@pytest.mark.parametrize("ghost", [False, True])
+@pytest.mark.parametrize("level", [DOMINANT, RECESSIVE])
+def test_agreeing_faults_then_a_fault_at_each_bit_of_a_lone_frame(level, ghost):
+    # The in-frame skip passes each fault that shows the level the bus shows
+    # anyway, so after a run of those the first fault of the other level is
+    # stepped as if it stood alone.
+    for at in range(PLAN.total_len + INTERMISSION_BITS):
+        args = (at, level, ghost, True)
+        assert lone_frame_with_faults(*args) == with_skip(False, lone_frame_with_faults, *args), at
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """The bit time of each bus step taken, in order."""
+    taken = []
     step = Bus._step
 
     def counted(bus, until_bits):
-        steps.append(bus.now)
+        taken.append(bus.now)
         return step(bus, until_bits)
 
     monkeypatch.setattr(Bus, "_step", counted)
+    return taken
+
+
+def test_a_lone_frame_takes_one_step(steps):
+    # Twenty frames queued at once on one node: each is sent, delivered and
+    # its intermission jumped in one step, and one more step runs the bus
+    # idle to the horizon.
     bus = lone_bus()
     horizon = 30 * (PLAN.total_len + INTERMISSION_BITS)
     bus.run([ScheduleEntry(0, "solo", LONE)] * 20, horizon)
     assert bus.nodes["solo"].delivered == 20
     assert len(steps) <= 21
+
+
+def test_a_burst_over_an_idle_bus_takes_one_step(steps):
+    # With the peer bus-off, the idle bus jumps over a 300-bit dominant
+    # burst to the horizon in one step, crediting the peer the recessive
+    # bits on either side of it.
+    bus = lone_bus()
+    peer = bus.nodes["peer"]
+    force_bus_off(peer)
+    for bit in range(100, 400):
+        bus.inject_fault(bit, DOMINANT)
+    trace = bus.run([], 1_000)
+    assert [(e.kind, e.time_bits) for e in trace] == [
+        (EventKind.FAULT_INJECTED, bit) for bit in range(100, 400)]
+    assert (peer.state.recessive_run_groups, peer.partial_recessive) == (100 // 11 + 600 // 11,
+                                                                          600 % 11)
+    assert len(steps) <= 2
+
+
+def test_agreeing_faults_leave_a_lone_frame_one_step(steps):
+    # A fault of the frame's own level at every bit, and a dominant one at
+    # the ACK slot the peer acknowledges, changes only the trace: the frame
+    # is still sent, delivered and its intermission jumped in one step.
+    frame = data_frame(0x123, bytes.fromhex("DEADBEEF"))
+    plan = wire_plan(frame)
+    bus = lone_bus()
+    for k in range(plan.total_len):
+        bus.inject_fault(k, lone_level(plan, k))
+    trace = bus.run([ScheduleEntry(0, "solo", frame)], 2 * plan.total_len)
+    assert [(e.kind, e.time_bits) for e in trace] == (
+        [(EventKind.TX_START, 0)]
+        + [(EventKind.FAULT_INJECTED, k) for k in range(plan.total_len)]
+        + [(EventKind.FRAME_DELIVERED, plan.total_len + INTERMISSION_BITS)])
+    assert len(steps) <= 2
+
+
+def test_a_sender_under_a_burst_takes_two_steps_per_error(steps):
+    # Under a dominant burst a lone sender's frame passes the dominant bits
+    # it starts with and fails at its first recessive bit, all in one step;
+    # one more jumps the intermission. After 32 errors it is bus-off, and
+    # the last step credits its recovery to the horizon.
+    bus = lone_bus()
+    for bit in range(400):
+        bus.inject_fault(bit, DOMINANT)
+    trace = bus.run([ScheduleEntry(0, "solo", LONE)], 400)
+    errors = [e for e in trace if e.kind is EventKind.ERROR_FRAME]
+    assert len(errors) == 32
+    assert bus.nodes["solo"].state.mode is NodeMode.BUS_OFF
+    assert len(steps) <= 2 * len(errors)

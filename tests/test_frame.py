@@ -27,6 +27,8 @@ class TestFrameId:
     def test_negative_rejected(self):
         with pytest.raises(IdOutOfRangeError):
             FrameId.standard(-1)
+        with pytest.raises(IdOutOfRangeError, match=r"^id -0x2C outside"):
+            FrameId.standard(-0x2C)
 
 
 class TestMakeFrame:

@@ -1,6 +1,6 @@
 import pytest
 
-from vcanlab.sensornet import (DEFAULT_SETPOINTS_C, OutOfRangeError,
+from vcanlab.sensornet import (DEFAULT_SETPOINTS_C, MAX_CHANNEL, OutOfRangeError,
                                SensorConfig, SensorReading, adc_sample,
                                build_reading_frame, decode_reading,
                                monitor_evaluate, parse_reading_frame,
@@ -95,6 +95,13 @@ class TestReadingFrames:
     def test_channel_offsets_id(self):
         cfg = SensorConfig(channel=1)
         assert cfg.frame_id.value == 0x101
+        assert SensorConfig(channel=MAX_CHANNEL).frame_id.value == 0x7FF
+
+    @pytest.mark.parametrize("channel", [-1, -300, MAX_CHANNEL + 1])
+    def test_channel_outside_the_reading_block_rejected(self, channel):
+        # Each would give a reading id below 0x100 or past 0x7FF.
+        with pytest.raises(ValueError, match=f"^channel {channel} outside"):
+            SensorConfig(channel=channel)
 
 
 class TestMonitor:
