@@ -16,7 +16,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import codec
 from .codec import DOMINANT, RECESSIVE
-from .frame import Frame, FrameId
+from .frame import Frame, FrameId, ValidatedTuple
 from .node import (AcceptanceFilter, BusOffError, CounterEvent, Node,
                    QueuedFrame, RECOVERY_GROUP_BITS, RECOVERY_GROUPS,
                    observe_recovery, update_counters)
@@ -116,17 +116,21 @@ class TraceEvent(NamedTuple):
     frame: Optional[Frame] = None
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class _ScheduleEntryFields(NamedTuple):
     time_us: int
     node: str
     frame: Frame
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.time_us, int):
-            raise TypeError(f"schedule time must be an integer, got {self.time_us!r}")
-        if self.time_us < 0:
+
+class ScheduleEntry(ValidatedTuple, _ScheduleEntryFields):
+    __slots__ = ()
+
+    def __new__(cls, time_us: int, node: str, frame: Frame) -> "ScheduleEntry":
+        if not isinstance(time_us, int):
+            raise TypeError(f"schedule time must be an integer, got {time_us!r}")
+        if time_us < 0:
             raise ValueError("schedule times must be non-negative")
+        return tuple.__new__(cls, (time_us, node, frame))
 
 
 Schedule = Sequence[ScheduleEntry]
@@ -357,15 +361,17 @@ class Bus:
         if until_bits < self._t:
             raise ValueError(
                 f"horizon {until_bits} is behind the bus, which stands at {self._t}")
-        items = []
+        nodes = self.nodes
         for entry in schedule:
-            if entry.node not in self.nodes:
+            if entry.node not in nodes:
                 raise ScheduleForDetachedNodeError(
                     f"schedule references unattached node {entry.node!r}")
-            self._pending_seq += 1
-            items.append((self.arrival_bit(entry.time_us), self._pending_seq,
-                          self.nodes[entry.node], entry.frame))
+        arrival_bit = self.arrival_bit
+        items = [(arrival_bit(time_us), seq, nodes[name], frame)
+                 for seq, (time_us, name, frame)
+                 in enumerate(schedule, self._pending_seq + 1)]
         if items:
+            self._pending_seq = items[-1][1]
             # Sequence numbers are unique, so ties never compare nodes.
             items.sort()
             self._pending = deque(heapq.merge(self._pending, items))

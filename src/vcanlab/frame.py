@@ -1,13 +1,13 @@
 """CAN frame identity, payload, and priority ordering.
 
-Frames are plain immutable values; the wire representation lives in
-:mod:`vcanlab.codec`.
+Frames are plain immutable values (named tuples that validate on every path
+that builds one); the wire representation lives in :mod:`vcanlab.codec`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_STANDARD_ID = (1 << 11) - 1
 MAX_EXTENDED_ID = (1 << 29) - 1
@@ -33,21 +33,50 @@ _DATA = FrameKind.DATA
 _REMOTE = FrameKind.REMOTE
 
 
-@dataclass(frozen=True)
-class FrameId:
-    """Message identifier; doubles as arbitration priority (lower wins)."""
+class ValidatedTuple:
+    """Mixin for a named tuple whose ``__new__`` validates its fields.
 
+    ``_make``, and with it ``_replace``, and unpickling call the constructor,
+    so every path to an instance runs its checks. List it before the
+    ``NamedTuple`` base, whose own ``_make`` it overrides.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+# Frame and FrameId build themselves with the tuple constructor once their
+# checks pass; nothing else may call it on them.
+_new = tuple.__new__
+
+
+class _FrameIdFields(NamedTuple):
     value: int
     extended: bool = False
 
-    def __post_init__(self) -> None:
-        limit = MAX_EXTENDED_ID if self.extended else MAX_STANDARD_ID
-        if not 0 <= self.value <= limit:
-            sign = "-" if self.value < 0 else ""
+
+class FrameId(ValidatedTuple, _FrameIdFields):
+    """Message identifier; doubles as arbitration priority (lower wins)."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, extended: bool = False) -> "FrameId":
+        if type(value) is not int:
+            raise TypeError(f"id must be an integer, got {value!r}")
+        limit = MAX_EXTENDED_ID if extended else MAX_STANDARD_ID
+        if not 0 <= value <= limit:
+            sign = "-" if value < 0 else ""
             raise IdOutOfRangeError(
-                f"id {sign}0x{abs(self.value):X} outside "
-                f"{'29-bit extended' if self.extended else '11-bit standard'} range"
+                f"id {sign}0x{abs(value):X} outside "
+                f"{'29-bit extended' if extended else '11-bit standard'} range"
             )
+        return _new(cls, (value, extended))
 
     @classmethod
     def standard(cls, value: int) -> "FrameId":
@@ -58,27 +87,32 @@ class FrameId:
         return cls(value, extended=True)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """A data or remote frame. Data frames carry dlc == len(payload) bytes;
-    remote frames carry no payload but request dlc bytes."""
-
+class _FrameFields(NamedTuple):
     id: FrameId
     kind: FrameKind
     dlc: int
     payload: bytes = b""
 
-    def __post_init__(self) -> None:
-        if type(self.payload) is not bytes:  # frames are hashable values
-            object.__setattr__(self, "payload", bytes(self.payload))
-        if not 0 <= self.dlc <= MAX_PAYLOAD:
-            raise PayloadTooLongError(f"dlc {self.dlc} out of range 0..8")
-        if self.kind is _DATA and len(self.payload) != self.dlc:
+
+class Frame(ValidatedTuple, _FrameFields):
+    """A data or remote frame. Data frames carry dlc == len(payload) bytes;
+    remote frames carry no payload but request dlc bytes."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: FrameId, kind: FrameKind, dlc: int,
+                payload: bytes = b"") -> "Frame":
+        if type(payload) is not bytes:  # frames are hashable values
+            payload = bytes(payload)
+        if not 0 <= dlc <= MAX_PAYLOAD:
+            raise PayloadTooLongError(f"dlc {dlc} out of range 0..8")
+        if kind is _DATA and len(payload) != dlc:
             raise PayloadTooLongError(
-                f"data frame payload length {len(self.payload)} != dlc {self.dlc}"
+                f"data frame payload length {len(payload)} != dlc {dlc}"
             )
-        if self.kind is _REMOTE and self.payload:
+        if kind is _REMOTE and payload:
             raise PayloadTooLongError("remote frame must carry no payload")
+        return _new(cls, (id, kind, dlc, payload))
 
 
 def make_frame(frame_id: FrameId, kind: FrameKind, payload_or_dlc) -> Frame:

@@ -15,6 +15,7 @@ Frames use the serial-line grammar (without the CR).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from . import codec
@@ -174,7 +175,7 @@ def parse_scenario(text: str) -> Scenario:
     if distance is None:
         raise ScenarioSyntaxError(0, "missing distance_m=")
     validate_bus_config(bitrate, distance, allow_slow)
-    schedule.sort(key=lambda e: e.time_us)
+    schedule.sort(key=itemgetter(0))  # stable: equal times keep file order
     return Scenario(bitrate, distance, nodes, schedule, allow_slow, run_bits)
 
 
@@ -201,13 +202,18 @@ def render_scenario(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NODE_SUFFIX_KINDS = {EventKind.BUS_OFF_ENTERED, EventKind.BUS_OFF_RECOVERED}
+# The kinds whose lines name their node, bound once as node.py explains;
+# tested by identity, since hashing a member runs ``Enum.__hash__`` in Python.
+_BUS_OFF_ENTERED = EventKind.BUS_OFF_ENTERED
+_BUS_OFF_RECOVERED = EventKind.BUS_OFF_RECOVERED
 
 
 def format_trace_event(event: TraceEvent) -> str:
     """One bit-exact trace line: ``(<seconds>) vcan0 <ID>#<DATA> <EVENT>``."""
-    frame_txt = codec.frame_to_text(event.frame) if event.frame is not None else "-"
-    line = f"({event.time_s:.6f}) vcan0 {frame_txt} {event.kind.value}"
-    if event.kind in _NODE_SUFFIX_KINDS and event.node is not None:
-        line += f" node={event.node}"
+    _, time_s, node, kind, frame = event
+    frame_txt = codec.frame_to_text(frame) if frame is not None else "-"
+    # ``_value_`` is a plain attribute; ``.value`` is a Python-level property.
+    line = f"({time_s:.6f}) vcan0 {frame_txt} {kind._value_}"
+    if (kind is _BUS_OFF_ENTERED or kind is _BUS_OFF_RECOVERED) and node is not None:
+        line += f" node={node}"
     return line

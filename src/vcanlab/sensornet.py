@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .bus import Bus, BusConfig, ScheduleEntry
-from .frame import MAX_STANDARD_ID, Frame, FrameId
+from .frame import MAX_STANDARD_ID, Frame, FrameId, ValidatedTuple
 # Enum members bound once, as frame.py explains.
 from .frame import _DATA
 
@@ -48,6 +48,8 @@ class SensorConfig:
     def __post_init__(self) -> None:
         if not self.range_min_c < self.range_max_c:
             raise ValueError("range_min_c must be below range_max_c")
+        if type(self.channel) is not int:
+            raise TypeError(f"channel must be an integer, got {self.channel!r}")
         if not 0 <= self.channel <= MAX_CHANNEL:
             raise ValueError(
                 f"channel {self.channel} outside 0..0x{MAX_CHANNEL:X}: its reading id "
@@ -62,14 +64,18 @@ class SensorConfig:
         return FrameId.standard(READING_BASE_ID + self.channel)
 
 
-@dataclass(frozen=True)
-class SensorReading:
+class _SensorReadingFields(NamedTuple):
     adc_code: int
     temperature_centideg: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.adc_code <= ADC_MAX:
+
+class SensorReading(ValidatedTuple, _SensorReadingFields):
+    __slots__ = ()
+
+    def __new__(cls, adc_code: int, temperature_centideg: int) -> "SensorReading":
+        if not 0 <= adc_code <= ADC_MAX:
             raise ValueError("adc_code must fit 10 bits")
+        return tuple.__new__(cls, (adc_code, temperature_centideg))
 
     @property
     def temperature_c(self) -> float:
@@ -84,8 +90,7 @@ class ExperimentRow:
     error_c: float
 
 
-@dataclass(frozen=True)
-class MonitorVerdict:
+class MonitorVerdict(NamedTuple):
     in_range: bool
     delta_c: float
 

@@ -8,7 +8,9 @@ codec scans strings, and the serial-line parser checks and converts hex one
 character and one byte at a time, where the gateway checks whole fields, and
 the serial pump takes its input one byte at a time, where the gateway scans
 whole lines. The bus-off recovery count ticks one bus level at a time, where
-the bus credits whole runs of recessive bits.
+the bus credits whole runs of recessive bits. The trace-line formatter is
+the one the library used before it read member values directly and tested
+the bus-off kinds by identity.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
+from vcanlab import codec
+from vcanlab.bus import EventKind, TraceEvent
 from vcanlab.codec import (CRC_WIDTH, DOMINANT, EOF_BITS, RECESSIVE, TAIL_BITS,
                            CrcError, FormError, StuffError, TruncatedError,
                            _EXT_HEADER_BITS, _STD_HEADER_BITS, crc15)
@@ -330,3 +334,15 @@ def pump_bytewise(session: GatewaySession, incoming: bytes = b"") -> bytes:
         session.frames_out += 1
         session._rx_cursor += 1
     return bytes(out)
+
+
+_NODE_SUFFIX_KINDS = {EventKind.BUS_OFF_ENTERED, EventKind.BUS_OFF_RECOVERED}
+
+
+def format_trace_event_reference(event: TraceEvent) -> str:
+    """One bit-exact trace line: ``(<seconds>) vcan0 <ID>#<DATA> <EVENT>``."""
+    frame_txt = codec.frame_to_text(event.frame) if event.frame is not None else "-"
+    line = f"({event.time_s:.6f}) vcan0 {frame_txt} {event.kind.value}"
+    if event.kind in _NODE_SUFFIX_KINDS and event.node is not None:
+        line += f" node={event.node}"
+    return line

@@ -30,6 +30,12 @@ class TestFrameId:
         with pytest.raises(IdOutOfRangeError, match=r"^id -0x2C outside"):
             FrameId.standard(-0x2C)
 
+    @pytest.mark.parametrize("value", [257.5, 257.0, True, False, "0x101", None])
+    def test_non_integer_rejected(self, value):
+        for make in (FrameId, FrameId.standard, FrameId.extended_id):
+            with pytest.raises(TypeError, match=r"^id must be an integer, got "):
+                make(value)
+
 
 class TestMakeFrame:
     def test_data_frame(self):

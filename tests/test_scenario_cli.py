@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -14,6 +15,8 @@ from vcanlab.node import AcceptanceFilter
 from vcanlab.scenario import (Scenario, ScenarioSyntaxError, UnknownNodeError,
                               format_trace_event, parse_scenario,
                               render_scenario)
+
+from oracles import format_trace_event_reference, random_frame
 
 GOOD = """\
 bitrate=1000000
@@ -192,6 +195,18 @@ class TestTraceFormat:
         e = TraceEvent(10, 1e-5, "victim", EventKind.BUS_OFF_ENTERED, None)
         assert format_trace_event(e) == \
             "(0.000010) vcan0 - BusOffEntered node=victim"
+
+
+@given(kind=st.sampled_from(list(EventKind)),
+       seed=st.none() | st.integers(0, 2**32 - 1),
+       node=st.none() | st.sampled_from(["a", "victim", "node_110"]),
+       time_bits=st.integers(0, 10**10),
+       bitrate=st.integers(5_000, 1_000_000))
+def test_trace_line_matches_the_reference(kind, seed, node, time_bits, bitrate):
+    # The goldens never render a bus-off event without a node; this does.
+    frame = None if seed is None else random_frame(random.Random(seed))
+    e = TraceEvent(time_bits, time_bits / bitrate, node, kind, frame)
+    assert format_trace_event(e) == format_trace_event_reference(e)
 
 
 class TestCliExitCodes:

@@ -103,6 +103,12 @@ class TestReadingFrames:
         with pytest.raises(ValueError, match=f"^channel {channel} outside"):
             SensorConfig(channel=channel)
 
+    @pytest.mark.parametrize("channel", [True, False, 1.0, 1.5, "1"])
+    def test_non_integer_channel_rejected(self, channel):
+        # True once gave reading id 0x101, and 1.5 an id the codec cannot lay out.
+        with pytest.raises(TypeError, match="^channel must be an integer, got "):
+            SensorConfig(channel=channel)
+
 
 class TestMonitor:
     def test_in_range(self):

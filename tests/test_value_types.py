@@ -1,0 +1,85 @@
+"""The hot value types are validating named tuples: read-only, equal to and
+hashed like the plain tuple of their fields, and checked on every path that
+builds one, ``_make``, ``_replace`` and unpickling included."""
+
+import pickle
+import re
+
+import pytest
+
+from vcanlab.bus import ScheduleEntry
+from vcanlab.frame import (Frame, FrameId, FrameKind, IdOutOfRangeError,
+                           PayloadTooLongError)
+from vcanlab.sensornet import MonitorVerdict, SensorReading
+
+STD = FrameId(0x123)
+EXT = FrameId(0x1ABCDEF, True)
+DATA = Frame(STD, FrameKind.DATA, 2, b"\xab\xcd")
+REMOTE = Frame(EXT, FrameKind.REMOTE, 3)
+
+# instance, its repr, a field to assign, an invalid field for _replace
+# (None where the type checks nothing) and the error that field raises.
+CASES = {
+    "FrameId": (STD, "FrameId(value=291, extended=False)",
+                "value", {"value": 0x800}, IdOutOfRangeError),
+    "FrameId-extended": (EXT, "FrameId(value=28036591, extended=True)",
+                         "extended", {"value": 2.5}, TypeError),
+    "Frame": (DATA,
+              "Frame(id=FrameId(value=291, extended=False), "
+              "kind=<FrameKind.DATA: 'data'>, dlc=2, payload=b'\\xab\\xcd')",
+              "payload", {"dlc": 9}, PayloadTooLongError),
+    "Frame-remote": (REMOTE,
+                     "Frame(id=FrameId(value=28036591, extended=True), "
+                     "kind=<FrameKind.REMOTE: 'remote'>, dlc=3, payload=b'')",
+                     "dlc", {"payload": b"\x00"}, PayloadTooLongError),
+    "ScheduleEntry": (ScheduleEntry(5, "a", DATA),
+                      "ScheduleEntry(time_us=5, node='a', frame=Frame(id=FrameId("
+                      "value=291, extended=False), kind=<FrameKind.DATA: 'data'>, "
+                      "dlc=2, payload=b'\\xab\\xcd'))",
+                      "time_us", {"time_us": -1}, ValueError),
+    "SensorReading": (SensorReading(512, 2001),
+                      "SensorReading(adc_code=512, temperature_centideg=2001)",
+                      "adc_code", {"adc_code": 1024}, ValueError),
+    "MonitorVerdict": (MonitorVerdict(True, -0.25),
+                       "MonitorVerdict(in_range=True, delta_c=-0.25)",
+                       "in_range", None, None),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_value_type_contract(name):
+    value, text, field, invalid, error = CASES[name]
+    fields = tuple(getattr(value, f) for f in value._fields)
+    assert value == fields and hash(value) == hash(fields)
+    assert tuple(value) == fields
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert back == value and type(back) is type(value)
+    if invalid is not None:
+        with pytest.raises(error) as direct:
+            type(value)(**{**value._asdict(), **invalid})
+        with pytest.raises(error, match=f"^{re.escape(str(direct.value))}$"):
+            value._replace(**invalid)
+        with pytest.raises(error, match=f"^{re.escape(str(direct.value))}$"):
+            type(value)._make({**value._asdict(), **invalid}.values())
+
+
+def test_frame_payload_becomes_bytes_on_every_path():
+    frame = Frame(STD, FrameKind.DATA, 2, bytearray(b"\x01\x02"))
+    assert type(frame.payload) is bytes
+    assert type(frame._replace(payload=bytearray(b"\x03\x04")).payload) is bytes
+    assert type(Frame._make((STD, FrameKind.DATA, 1, [7])).payload) is bytes
+
+
+def test_unpickling_validates():
+    # Every protocol rebuilds an instance through its constructor. Protocol 0
+    # writes the id as the text "I291", so an edited pickle can name an
+    # invalid id, which must fail as the constructor does.
+    assert DATA.__reduce__() == (Frame, tuple(DATA))
+    text = pickle.dumps(FrameId(291), 0)
+    assert b"I291\n" in text
+    with pytest.raises(IdOutOfRangeError, match="^id 0x800 outside"):
+        pickle.loads(text.replace(b"I291\n", b"I2048\n"))
