@@ -348,7 +348,9 @@ class Bus:
     # -- simulation ------------------------------------------------------
 
     def run(self, schedule: Schedule = (), until_bits: int = 0) -> List[TraceEvent]:
-        """Advance the simulation to ``until_bits``, merging ``schedule``.
+        """Advance the simulation to ``until_bits``, merging ``schedule``, a
+        sequence (it is read twice: its nodes are all checked first, so an
+        entry for a detached node raises before any entry is queued).
 
         Returns the trace events generated during this call; repeated calls
         continue from where the previous one stopped. No bit at or past
