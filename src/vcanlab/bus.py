@@ -16,9 +16,9 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import codec
 from .codec import DOMINANT, RECESSIVE
-from .frame import Frame, FrameId, ValidatedTuple
+from .frame import Frame, ValidatedTuple
 from .node import (AcceptanceFilter, BusOffError, CounterEvent, Node,
-                   QueuedFrame, RECOVERY_GROUP_BITS, RECOVERY_GROUPS,
+                   QueuedFrame, RECOVERY_GROUP_BITS, RECOVERY_GROUPS, accepts,
                    observe_recovery, update_counters)
 # Enum members bound once, as node.py explains.
 from .node import (_BUS_OFF, _ERROR_ACTIVE, _RX_ERROR, _RX_SUCCESS, _TX_ERROR,
@@ -29,7 +29,9 @@ MAX_BITRATE_BPS = 1_000_000
 MAX_NODES = 110
 INTERMISSION_BITS = 3
 _BUS_LEVELS = (DOMINANT, RECESSIVE)
-_DOMINANT_BIT = bytes((DOMINANT,))  # one dominant level in a WirePlan stream
+# One bit's level as a WirePlan stream holds it, one byte per bit.
+_DOMINANT_BIT = bytes((DOMINANT,))
+_RECESSIVE_BIT = bytes((RECESSIVE,))
 # Conservative rate-distance product law covering both published operating
 # points: 5 kbps over 10 km sits exactly on the bound, 1 Mbps over 40 m under it.
 RATE_DISTANCE_LIMIT = 50_000_000  # bit*m/s
@@ -147,18 +149,6 @@ def resolve_bit(driven_levels: Sequence[int]) -> int:
     return DOMINANT if DOMINANT in driven_levels else RECESSIVE
 
 
-def _first_bits(runs: Sequence[int], n: int) -> List[int]:
-    """The runs of the first ``n`` bits of a stretch laid out as ``runs``."""
-    head = []
-    for run in runs:
-        if run >= n:
-            head.append(n)
-            break
-        head.append(run)
-        n -= run + 1
-    return head
-
-
 class Bus:
     """A virtual bus plus its attached nodes and one running simulation."""
 
@@ -176,10 +166,9 @@ class Bus:
         self._t = 0
         # The first bit after the last intermission: no frame starts before it.
         self._free = 0
-        # The slot in progress: first bit, index of the bit being sent, and
-        # the queue heads of the transmitters still on the wire, each with
-        # its node and wire plan (``enc``); empty when the bus is idle.
-        self._start = 0
+        # The slot in progress: index of the bit being sent, and the queue
+        # heads of the transmitters still on the wire, each with its node and
+        # wire plan (``enc``); empty when the bus is idle.
         self._k = 0
         self._active: List[QueuedFrame] = []
         self._events: List[TraceEvent] = []
@@ -190,9 +179,6 @@ class Bus:
         # Wire plans by frame: each distinct frame sent in a run() call is
         # laid out once. Cleared at each call, so slices keep few plans.
         self._plans: Dict[Frame, codec.WirePlan] = {}
-        # Accepting nodes by frame id, in attach order, built on the id's
-        # first delivery in a run() call.
-        self._receivers: Dict[FrameId, List[Node]] = {}
         # Nodes that recovered from bus-off since the last SOF: they missed
         # it, so they do not receive the frame of the slot in progress.
         self._missed: Set[Node] = set()
@@ -261,10 +247,7 @@ class Bus:
 
     def _apply_counter(self, node: Node, event: CounterEvent, t: int) -> None:
         old = node.state
-        new = update_counters(old, event)
-        if new is old:
-            return
-        node.state = new
+        new = node.state = update_counters(old, event)
         if new.rec:
             self._rx_owing[node] = None
         else:
@@ -274,18 +257,18 @@ class Bus:
             self._bus_off.add(node)
             self._emit(EventKind.BUS_OFF_ENTERED, node.name, None, t)
 
-    def _credit(self, runs: Sequence[int], t: int, faults: Sequence[int] = ()) -> int:
+    def _credit(self, levels: bytes, t: int, faults: Sequence[int] = ()) -> int:
         """Credit the bits from ``t`` on to each bus-off node's recovery count,
         and return how many were credited.
 
-        ``runs`` are the lengths of the recessive runs in order, one dominant
-        bit between each two, so one bit is ``(1,)`` or ``(0, 0)``. The credit
+        ``levels`` are the stretch's bus levels, one byte per bit. The credit
         ends with the first bit at which a node completes its last group; the
         nodes that do so there rejoin the bus, in attach order. ``faults`` are
         the stretch's fault bits in order: each one credited gets its
         ``FaultInjected`` event, ahead of the recoveries, as stepping gives.
         """
-        n = sum(runs) + len(runs) - 1
+        n = len(levels)
+        runs = [len(run) for run in levels.split(_DOMINANT_BIT)]
         counts = []
         for node in self._bus_off:
             state = node.state
@@ -298,7 +281,7 @@ class Bus:
                             * RECOVERY_GROUP_BITS - partial)
                     if run >= need and used + need < n:
                         # It recovers inside the stretch: credit that far.
-                        return self._credit(_first_bits(runs, used + need), t, faults)
+                        return self._credit(levels[:used + need], t, faults)
                     state = observe_recovery(state, end)
                 used += run + 1
                 partial = 0  # the dominant bit after a run restarts the count
@@ -388,7 +371,6 @@ class Bus:
             self._active = [e for e in self._active if e.node not in self._bus_off]
             if not self._active:
                 self._end_slot(self._t - 1)
-        self._receivers.clear()
         self._plans.clear()
         self._events = []
         while self._t < until_bits:
@@ -425,7 +407,7 @@ class Bus:
                             plan = plans[entry.frame] = codec.wire_plan(entry.frame)
                         entry.enc = plan
                 self._active = active
-                self._start, self._k = t, 0
+                self._k = 0
                 self._missed.clear()
         if active:
             if len(active) == 1 and self._SKIP and self._skip(t, until_bits):
@@ -436,11 +418,13 @@ class Bus:
         # by nothing but the bus-off nodes' recovery count, and no frame can
         # start before the intermission ends. So the bus may jump to the next
         # arrival or the horizon, over any faults, crediting the bits it skips
-        # to the bus-off nodes, the recessive runs split at the dominant
-        # faults; while a node on the bus has a frame queued, only to the
-        # intermission's end. A node that recovers in that stretch may hold a
-        # queued frame, so the jump ends with the bit it recovers at, and the
-        # faults after that bit are left to the next step.
+        # to the bus-off nodes, laid out recessive but for the faults; while
+        # a node on the bus has a frame queued, only to the intermission's
+        # end. A node that recovers in that stretch may hold a queued frame,
+        # so the jump ends with the bit it recovers at, and the faults after
+        # that bit are left to the next step. While a node is bus-off the jump
+        # is at most one whole recovery long, so its layout never grows with
+        # the horizon.
         nxt = t + 1
         if self._SKIP:
             nxt = until_bits
@@ -448,18 +432,17 @@ class Bus:
                 nxt = min(nxt, self._pending[0][0])
             if nxt > self._free > t and self._queued():
                 nxt = self._free
-        faults = self._faults_in(t, nxt)
         if self._bus_off:
-            runs = []
-            run_start = t
+            nxt = min(nxt, t + RECOVERY_GROUPS * RECOVERY_GROUP_BITS)
+            faults = self._faults_in(t, nxt)
+            levels = bytearray(_RECESSIVE_BIT) * (nxt - t)
             for bit in faults:
-                if self._faults[bit] == DOMINANT:
-                    runs.append(bit - run_start)
-                    run_start = bit + 1
-            runs.append(nxt - run_start)
-            nxt = t + self._credit(runs, t, faults)
-        elif faults:
-            self._emit_faults(faults)
+                levels[bit - t] = self._faults[bit]
+            nxt = t + self._credit(levels, t, faults)
+        else:
+            faults = self._faults_in(t, nxt)
+            if faults:
+                self._emit_faults(faults)
         self._t = nxt
 
     def _end_slot(self, t: int) -> None:
@@ -510,8 +493,7 @@ class Bus:
             levels = plan.stream[k:stop]
             if k <= ack < stop:
                 levels = levels[:ack - k] + _DOMINANT_BIT + levels[ack - k + 1:]
-            stop = k + self._credit([len(run) for run in levels.split(_DOMINANT_BIT)],
-                                    t, faults)
+            stop = k + self._credit(levels, t, faults)
         elif faults:
             self._emit_faults(faults)
         t += stop - k
@@ -581,13 +563,10 @@ class Bus:
         # any counter update, so a node that goes bus-off at it starts its
         # 128x11 recessive count on the following bit.
         if self._bus_off:
-            self._credit((1,) if resolved == RECESSIVE else (0, 0), t)
+            self._credit(_RECESSIVE_BIT if resolved == RECESSIVE else _DOMINANT_BIT, t)
         if error:
             return self._fail(active, t)
-        if not still:
-            # A fault displaced every transmitter inside the arbitration field;
-            # treat like an aborted slot and let everyone retry.
-            return self._end_slot(t)
+        # Only a fault can displace every transmitter, and that is an error.
         self._active = still
         # Survivors sent identical bits, so their frames have one length.
         if k == still[0].enc.total_len - 1:
@@ -610,7 +589,7 @@ class Bus:
         """End the slot at the frame's last EOF bit ``t``: each transmitter's
         queue head is sent, and each accepting node that is not a transmitter
         and was on the bus at every bit from SOF receives the frame once."""
-        deliver_t = self._start + still[0].enc.total_len + INTERMISSION_BITS
+        deliver_t = t + 1 + INTERMISSION_BITS
         # Neither a transmit nor a receive success sends a node bus-off, so
         # one collection names every node that does not receive: for a lone
         # sender while every other node is on the bus, just the sender.
@@ -630,12 +609,9 @@ class Bus:
             for n in [n for n in self._rx_owing if n not in skip]:
                 self._apply_counter(n, _RX_SUCCESS, t)
         frame = still[0].frame
-        receivers = self._receivers.get(frame.id)
-        if receivers is None:
-            receivers = self._receivers[frame.id] = [
-                n for n in self._order if n.accepts(frame.id)]
-        for n in receivers:
-            if n not in skip:
+        frame_id = frame.id
+        for n in self._order:
+            if n not in skip and (n.filter is None or accepts(n.filter, frame_id)):
                 n.received.append(frame)
         for entry in still:
             self._emit(_FRAME_DELIVERED, entry.node.name, entry.frame, deliver_t)

@@ -474,21 +474,30 @@ def frame_to_text(frame: Frame) -> str:
     return f"{ident}#{frame.payload.hex().upper()}"
 
 
+# ``int(..., 16)`` and ``bytes.fromhex`` also take signs, underscores,
+# whitespace, a ``0x`` prefix or non-ASCII digits, so text is checked first.
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_DLC_DIGITS = frozenset("012345678")
+
+
 def frame_from_text(text: str) -> Frame:
-    """Inverse of :func:`frame_to_text`."""
+    """Inverse of :func:`frame_to_text`. Either case of hex digit is read; a
+    remote frame's DLC is one digit 0-8, and an empty one means 0."""
     ident, sep, rest = text.strip().partition("#")
     if not sep:
         raise ValueError(f"missing '#' in frame {text!r}")
     if len(ident) not in (3, 8):
         raise ValueError(f"identifier must be 3 or 8 hex digits, got {ident!r}")
-    extended = len(ident) == 8
-    try:
-        id_value = int(ident, 16)
-    except ValueError:
-        raise ValueError(f"invalid identifier hex {ident!r}") from None
-    frame_id = FrameId(id_value, extended=extended)
+    if not _HEX_DIGITS.issuperset(ident):
+        raise ValueError(f"invalid identifier hex {ident!r}")
+    frame_id = FrameId(int(ident, 16), extended=len(ident) == 8)
     if rest.startswith("R"):
-        return Frame(frame_id, _REMOTE, int(rest[1:] or "0"), b"")
+        dlc = rest[1:] or "0"
+        if dlc not in _DLC_DIGITS:
+            raise ValueError(f"remote DLC must be one digit 0-8, got {rest[1:]!r}")
+        return Frame(frame_id, _REMOTE, int(dlc), b"")
     if len(rest) % 2:
         raise ValueError("data hex must have an even number of digits")
+    if not _HEX_DIGITS.issuperset(rest):
+        raise ValueError(f"invalid data hex {rest!r}")
     return Frame(frame_id, _DATA, len(rest) // 2, bytes.fromhex(rest))

@@ -190,9 +190,6 @@ class Node:
             raise BusOffError(f"node {self.name} is bus-off")
         bisect.insort(self.queue, QueuedFrame(frame, self))
 
-    def accepts(self, frame_id: FrameId) -> bool:
-        return self.filter is None or accepts(self.filter, frame_id)
-
     def status(self) -> NodeStatus:
         return NodeStatus(self.name, self.state.mode, self.state.tec,
                           self.state.rec, len(self.queue), self.delivered)

@@ -77,6 +77,14 @@ class TestAttach:
         with pytest.raises(DuplicateNameError):
             bus.attach_node("a")
 
+    def test_bus_that_has_run_refuses_new_nodes(self):
+        bus = Bus(BusConfig())
+        bus.attach_node("a")
+        bus.run([], 1)
+        with pytest.raises(RuntimeError, match="running bus"):
+            bus.attach_node("b")
+        assert list(bus.nodes) == ["a"]
+
     def test_schedule_for_detached_node(self):
         bus = Bus(BusConfig())
         bus.attach_node("a")
@@ -349,6 +357,31 @@ class TestFaultInjection:
         trace = bus.run([ScheduleEntry(0, "tx", frame)], pos + 1)
         assert kinds(trace)[-1] is EventKind.ERROR_FRAME
         assert (rx.state.rec, off.state) == (1, NodeState(tec=256, mode=NodeMode.BUS_OFF))
+
+    @pytest.mark.parametrize("skip", [True, False])
+    @pytest.mark.parametrize("bit", range(1, 12))
+    def test_fault_under_identical_senders_is_an_error_for_both(self, monkeypatch,
+                                                                 skip, bit):
+        # Two nodes send the same frame at once, and a fault of the other
+        # level at an identifier bit displaces both. That is an error, not an
+        # arbitration loss: each sender books a transmit error, the third
+        # node a receive error, and both send again once the intermission
+        # after the error bit ends.
+        monkeypatch.setattr(Bus, "_SKIP", skip)
+        frame = data_frame(0x2AA, b"\x01")  # no stuff bit in its identifier
+        bus = Bus(BusConfig())
+        for name in "abc":
+            bus.attach_node(name)
+        bus.inject_fault(bit, wire_plan(frame).stream[bit] ^ 1)
+        trace = bus.run([ScheduleEntry(0, "a", frame), ScheduleEntry(0, "b", frame)],
+                        bit + 5)
+        assert [(e.time_bits, e.node, e.kind) for e in trace] == [
+            (0, "a", EventKind.TX_START), (0, "b", EventKind.TX_START),
+            (bit, None, EventKind.FAULT_INJECTED),
+            (bit, "a", EventKind.ERROR_FRAME), (bit, "b", EventKind.ERROR_FRAME),
+            (bit + 4, "a", EventKind.RETRANSMIT), (bit + 4, "b", EventKind.RETRANSMIT)]
+        assert [n.state for n in bus.nodes.values()] == [
+            NodeState(tec=8), NodeState(tec=8), NodeState(rec=1)]
 
     def test_fault_during_idle_is_inert(self):
         bus = Bus(BusConfig())

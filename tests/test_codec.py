@@ -271,3 +271,18 @@ class TestTextForms:
         assert frame_to_text(data_frame(0x0A0, b"\xde\xad\xbe\xef")) == "0A0#DEADBEEF"
         assert frame_to_text(remote_frame(0x123, 4)) == "123#R4"
         assert frame_from_text("001ABCDE#01").id.extended
+
+    def test_either_case_and_an_empty_remote_dlc(self):
+        assert frame_from_text("1aB#deAD") == data_frame(0x1AB, b"\xde\xad")
+        assert frame_from_text("123#R") == remote_frame(0x123, 0)
+
+    @pytest.mark.parametrize("text", [
+        "1234#00", "12G#00", "123#ABC",
+        # Forms that int(..., 16) and bytes.fromhex take.
+        "+12#00", "1_2#00", "12 #00", "0x1#00", "\u0661\u0662\u0663#00",
+        "123#+0", "123#0_", "123#00  11",
+        "123#R+4", "123#R 4", "123#R\u0664", "123#R9", "123#R10", "123#R0x4",
+    ])
+    def test_malformed_frame_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            frame_from_text(text)

@@ -2,6 +2,8 @@
 give exactly what stepping every bit gives. ``Bus._SKIP = False`` turns both
 off, so plain stepping is the reference here."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
@@ -15,7 +17,7 @@ from vcanlab.node import (BUS_OFF_LIMIT, ERROR_PASSIVE_LIMIT, RECOVERY_GROUP_BIT
 from oracles import tick_recovery
 
 # Small ids and masks make filters match often enough to exercise the bus's
-# table of accepting nodes. Strategies that no drawn value shapes are built
+# acceptance filtering. Strategies that no drawn value shapes are built
 # once, here: built anew for each draw, they made drawing a scenario about a
 # third slower, and a failing example is drawn again at every shrink step.
 SMALL_IDS = st.integers(0, 15)
@@ -457,7 +459,7 @@ def test_bulk_credit_matches_ticking_each_bit(presets, runs, t):
         levels += [DOMINANT] + [RECESSIVE] * run
     ticked, counts, recovered = tick_recovery(presets, levels)
 
-    assert bus._credit(runs, t) == ticked
+    assert bus._credit(bytes(levels), t) == ticked
     assert [(n.state, n.partial_recessive) for n in bus.nodes.values()] == [
         (NodeState(), 0) if i in recovered else
         (NodeState(tec=256, mode=NodeMode.BUS_OFF, recessive_run_groups=groups), partial)
@@ -598,6 +600,27 @@ def test_fault_in_a_bus_off_idle_stretch_restarts_the_count(monkeypatch, skip, f
     trace = bus.run([], 5_000)
     unbroken = RECOVERY_GROUPS * RECOVERY_GROUP_BITS - 1
     assert recoveries(trace) == [("ghost", unbroken + fault_at % RECOVERY_GROUP_BITS + 1)]
+
+
+def test_bus_off_idle_jump_lays_out_at_most_one_recovery():
+    # While a node is bus-off, the idle jump lays out its stretch's levels
+    # one byte per bit, up to one whole recovery at a time: a horizon of ten
+    # million bits must not cost ten million bytes. Dominant faults every 10
+    # bits keep the node bus-off until the last one; it recovers one whole
+    # recovery later.
+    bus = Bus(BusConfig())
+    force_bus_off(bus.attach_node("a"))
+    for bit in range(0, 100_000, 10):
+        bus.inject_fault(bit, DOMINANT)
+    tracemalloc.start()
+    try:
+        trace = bus.run([], 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recoveries(trace) == [("a", 99_990 + RECOVERY_GROUPS * RECOVERY_GROUP_BITS)]
+    assert len(trace) == 10_001
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("skip", [True, False])

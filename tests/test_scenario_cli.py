@@ -271,6 +271,14 @@ class TestCliExitCodes:
         assert main(["codec", "decode", "111111"]) == 3
         assert main(["codec", "encode", "nonsense"]) == 3
 
+    def test_codec_encode_rejects_a_signed_identifier(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vcanlab.cli", "codec", "encode", "+12#00"],
+            capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr.startswith(b"error: ")
+        assert b"Traceback" not in proc.stderr
+
     def test_experiment_csv(self, capsys):
         assert main(["experiment", "--range", "0:40", "--csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
