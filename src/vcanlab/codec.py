@@ -7,11 +7,14 @@ recessive = 1.
 :func:`wire_plan` lays a frame out for the wire; the bus and
 :func:`encode_frame` both use it. It computes the CRC over SOF through the
 data as one integer and stuffs a byte at a time through a table of the 9
-stuffing states. :func:`frame_body_bits`, :func:`crc15`, :func:`stuff` and
-:func:`stuff_with_positions` are the bit-serial list forms of the same
-rules, the reference the tests check :func:`wire_plan` against; the
-stuffing table is built from :func:`stuff_with_positions`.
-:func:`decode_frame` destuffs and parses on ``'0'/'1'`` strings.
+stuffing states, built from :func:`stuff_with_positions`; :func:`stuff`
+returns that function's levels. :func:`decode_frame` destuffs and parses on
+``'0'/'1'`` strings. :func:`crc15` runs the integer CRC and :func:`destuff`
+the decoder's scan, so each rule is written once. :func:`crc15`,
+:func:`destuff`, :func:`decode_frame` and :func:`bits_to_string` raise
+FormError at the first level that is not 0 or 1. The independent references
+(long-division CRC, bit-serial destuffing and decoding) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -77,57 +80,43 @@ class EncodedFrame:
     stuff_count: int
 
 
-def _crc15_bitwise(crc: int, bits: Sequence[int]) -> int:
-    for bit in bits:
-        feedback = ((crc >> 14) & 1) ^ bit
-        crc = (crc << 1) & 0x7FFF
-        if feedback:
-            crc ^= CRC_POLY
-    return crc
-
-
 def _build_crc_table() -> List[int]:
-    return [_crc15_bitwise(0, [(byte >> i) & 1 for i in range(7, -1, -1)])
-            for byte in range(256)]
+    """The zero-initialised shift register run over each byte, MSB first."""
+    table = []
+    for byte in range(256):
+        crc = 0
+        for i in range(7, -1, -1):
+            feedback = ((crc >> 14) & 1) ^ ((byte >> i) & 1)
+            crc = (crc << 1) & 0x7FFF
+            if feedback:
+                crc ^= CRC_POLY
+        table.append(crc)
+    return table
 
 
 _CRC_TABLE = _build_crc_table()
 
 
-def crc15(bits: Sequence[int]) -> int:
-    """15-bit shift-register CRC, zero-initialized, MSB first."""
-    head = len(bits) % 8
-    crc = _crc15_bitwise(0, bits[:head])
-    for i in range(head, len(bits), 8):
-        byte = 0
-        for b in bits[i:i + 8]:
-            byte = (byte << 1) | b
-        crc = ((crc << 8) ^ _CRC_TABLE[((crc >> 7) ^ byte) & 0xFF]) & 0x7FFF
+def _crc15_int(value: int, nbits: int) -> int:
+    """:func:`crc15` of the ``nbits`` low bits of ``value``, MSB first."""
+    # Leading zero bits keep a zero-initialised CRC at 0, so padding the
+    # bits to whole bytes on the left leaves the CRC unchanged.
+    crc = 0
+    table = _CRC_TABLE
+    for byte in value.to_bytes((nbits + 7) >> 3, "big"):
+        crc = (crc << 8 & 0x7FFF) ^ table[(crc >> 7) ^ byte]
     return crc
 
 
-def stuff(bits: Sequence[int]) -> BitStream:
-    """Insert a complement bit after every run of 5 equal levels."""
-    out: BitStream = []
-    run_level = -1
-    run_len = 0
-    for b in bits:
-        out.append(b)
-        if b == run_level:
-            run_len += 1
-        else:
-            run_level = b
-            run_len = 1
-        if run_len == 5:
-            run_level = b ^ 1
-            run_len = 1
-            out.append(run_level)
-    return out
+def crc15(bits: Sequence[int]) -> int:
+    """15-bit shift-register CRC, zero-initialized, MSB first; FormError at
+    the first level that is not 0 or 1."""
+    return _crc15_int(int(bits_to_string(bits) or "0", 2), len(bits))
 
 
 def stuff_with_positions(bits: Sequence[int]) -> Tuple[BitStream, List[int]]:
-    """Like :func:`stuff`, also returning for each input bit its index in the
-    stuffed output."""
+    """Insert a complement bit after every run of 5 equal levels, also
+    returning for each input bit its index in the stuffed output."""
     out: BitStream = []
     positions: List[int] = []
     run_level = -1
@@ -147,33 +136,20 @@ def stuff_with_positions(bits: Sequence[int]) -> Tuple[BitStream, List[int]]:
     return out, positions
 
 
-def destuff(bits: Sequence[int]) -> BitStream:
-    """Drop each bit following a run of 5 equal levels.
+def stuff(bits: Sequence[int]) -> BitStream:
+    """Insert a complement bit after every run of 5 equal levels."""
+    return stuff_with_positions(bits)[0]
 
-    Raises :class:`StuffError` at the first run of 6 equal levels.
-    """
-    out: BitStream = []
-    run_level = -1
-    run_len = 0
-    i = 0
-    n = len(bits)
-    while i < n:
-        b = bits[i]
-        if run_len == 5:
-            if b == run_level:
-                raise StuffError(i)
-            run_level = b
-            run_len = 1
-            i += 1
-            continue
-        out.append(b)
-        if b == run_level:
-            run_len += 1
-        else:
-            run_level = b
-            run_len = 1
-        i += 1
-    return out
+
+def destuff(bits: Sequence[int]) -> BitStream:
+    """Drop each bit following a run of 5 equal levels, by the scan of
+    :func:`decode_frame`; FormError at the first level that is not 0 or 1,
+    StuffError at the first run of 6 equal levels."""
+    raw = bits_to_string(bits)
+    flat, _, stop = _destuff_scan(raw)
+    if 0 <= stop < len(raw):
+        raise StuffError(stop)
+    return list(flat.encode("ascii").translate(_TO_LEVELS))
 
 
 def frame_body_bits(frame: Frame) -> BitStream:
@@ -221,18 +197,8 @@ class WirePlan:
 _RUN5 = re.compile("0{5}|1{5}")
 # Levels 0 and 1 as '0' and '1'; any other byte as 'x', which is neither.
 _TO_CHARS = bytes.maketrans(bytes(range(256)), b"01" + b"x" * 254)
+_TO_LEVELS = bytes.maketrans(b"01", b"\x00\x01")
 _TAIL = bytes((RECESSIVE,)) * TAIL_BITS
-
-
-def _crc15_int(value: int, nbits: int) -> int:
-    """:func:`crc15` of the ``nbits`` low bits of ``value``, MSB first."""
-    # Leading zero bits keep a zero-initialised CRC at 0, so padding the
-    # bits to whole bytes on the left leaves the CRC unchanged.
-    crc = 0
-    table = _CRC_TABLE
-    for byte in value.to_bytes((nbits + 7) >> 3, "big"):
-        crc = (crc << 8 & 0x7FFF) ^ table[(crc >> 7) ^ byte]
-    return crc
 
 
 def _build_stuff_table() -> List[list]:
@@ -331,7 +297,7 @@ def frame_bit_length(frame: Frame, stuffed: bool = False) -> int:
     return header + data + CRC_WIDTH + TAIL_BITS
 
 
-def _levels_to_chars(bits: Sequence[int]) -> str:
+def bits_to_string(bits: Sequence[int]) -> str:
     """``bits`` as a ``'0'/'1'`` string; FormError at the first level that
     is neither."""
     try:
@@ -386,7 +352,7 @@ def decode_frame(bits: Sequence[int]) -> Frame:
     failure hit while scanning serially: StuffError, TruncatedError,
     FormError or CrcError.
     """
-    raw = _levels_to_chars(bits)
+    raw = bits_to_string(bits)
     n = len(raw)
     flat, after, stop = _destuff_scan(raw)
 
@@ -448,10 +414,6 @@ def decode_frame(bits: Sequence[int]) -> Frame:
     return Frame(frame_id, _DATA, dlc, payload)
 
 
-def bits_to_string(bits: Sequence[int]) -> str:
-    return "".join("1" if b else "0" for b in bits)
-
-
 def bits_from_string(text: str) -> BitStream:
     out: BitStream = []
     for ch in text.strip():
@@ -467,11 +429,11 @@ def bits_from_string(text: str) -> BitStream:
 def frame_to_text(frame: Frame) -> str:
     """Candump-style rendering: ``123#ABCD`` (standard), 8-digit id for
     extended, ``123#R4`` for remote frames."""
-    width = 8 if frame.id.extended else 3
-    ident = f"{frame.id.value:0{width}X}"
-    if frame.kind is _REMOTE:
-        return f"{ident}#R{frame.dlc}"
-    return f"{ident}#{frame.payload.hex().upper()}"
+    (value, extended), kind, dlc, payload = frame
+    ident = f"{value:08X}" if extended else f"{value:03X}"
+    if kind is _REMOTE:
+        return f"{ident}#R{dlc}"
+    return f"{ident}#{payload.hex().upper()}"
 
 
 # ``int(..., 16)`` and ``bytes.fromhex`` also take signs, underscores,

@@ -66,10 +66,11 @@ def _parse_filter(spec: str, line_no: int) -> AcceptanceFilter:
     code_s, sep, mask_s = spec.partition("/")
     if not sep:
         raise ScenarioSyntaxError(line_no, f"filter must be code/mask, got {spec!r}")
-    try:
-        code, mask = int(code_s, 16), int(mask_s, 16)
-    except ValueError:
-        raise ScenarioSyntaxError(line_no, f"bad filter hex {spec!r}") from None
+    # ``int(..., 16)`` also takes signs, underscores, ``0x`` and non-ASCII digits.
+    if not (code_s and mask_s and codec._HEX_DIGITS.issuperset(code_s)
+            and codec._HEX_DIGITS.issuperset(mask_s)):
+        raise ScenarioSyntaxError(line_no, f"bad filter hex {spec!r}")
+    code, mask = int(code_s, 16), int(mask_s, 16)
     # Eight hex digits mark an extended filter, as in the serial grammar.
     extended = 8 in (len(code_s), len(mask_s)) or max(code, mask) > 0x7FF
     try:

@@ -3,14 +3,14 @@
 These deliberately use different algorithms than the production code: the CRC
 oracle is polynomial long division over GF(2) on a big integer (the codec uses
 a table-driven shift register), and the arbitration oracle compares drive
-patterns bit by bit. The decoder walks the bits one at a time, where the
-codec scans strings, and the serial-line parser checks and converts hex one
-character and one byte at a time, where the gateway checks whole fields, and
-the serial pump takes its input one byte at a time, where the gateway scans
-whole lines. The bus-off recovery count ticks one bus level at a time, where
-the bus credits whole runs of recessive bits. The trace-line formatter is
-the one the library used before it read member values directly and tested
-the bus-off kinds by identity.
+patterns bit by bit. The decoder and the destuffer walk the bits one at a
+time, where the codec scans strings, and the serial-line parser checks and
+converts hex one character and one byte at a time, where the gateway checks
+whole fields, and the serial pump takes its input one byte at a time, where
+the gateway scans whole lines. The bus-off recovery count ticks one bus level
+at a time, where the bus credits whole runs of recessive bits. The trace-line
+formatter is the one the library used before it read member values directly
+and tested the bus-off kinds by identity.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from vcanlab import codec
 from vcanlab.bus import EventKind, TraceEvent
 from vcanlab.codec import (CRC_WIDTH, DOMINANT, EOF_BITS, RECESSIVE, TAIL_BITS,
                            CrcError, FormError, StuffError, TruncatedError,
-                           _EXT_HEADER_BITS, _STD_HEADER_BITS, crc15)
+                           _EXT_HEADER_BITS, _STD_HEADER_BITS)
 from vcanlab.frame import (MAX_EXTENDED_ID, MAX_STANDARD_ID, Frame, FrameId,
                            FrameKind)
 from vcanlab.gateway import (BEL, CR, MAX_LINE_BYTES, GatewaySession, ParseReason,
@@ -43,6 +43,33 @@ def crc15_oracle(bits: Sequence[int]) -> int:
         if (val >> (shift + 15)) & 1:
             val ^= CRC_GENERATOR << shift
     return val
+
+
+def destuff_serial(bits: Sequence[int]) -> List[int]:
+    """Drop each bit following a run of 5 equal levels, one bit at a time;
+    StuffError at the first run of 6 equal levels."""
+    out: List[int] = []
+    run_level = -1
+    run_len = 0
+    i = 0
+    n = len(bits)
+    while i < n:
+        b = bits[i]
+        if run_len == 5:
+            if b == run_level:
+                raise StuffError(i)
+            run_level = b
+            run_len = 1
+            i += 1
+            continue
+        out.append(b)
+        if b == run_level:
+            run_len += 1
+        else:
+            run_level = b
+            run_len = 1
+        i += 1
+    return out
 
 
 def drive_pattern(frame: Frame) -> List[int]:
@@ -225,7 +252,7 @@ def decode_frame_serial(bits: Sequence[int]) -> Frame:
     if pos + TAIL_BITS != n:
         raise FormError(pos + TAIL_BITS, "trailing bits after EOF")
 
-    if crc15(flat[:region_total - CRC_WIDTH]) != received_crc:
+    if crc15_oracle(flat[:region_total - CRC_WIDTH]) != received_crc:
         raise CrcError(crc_start_raw - 1, "CRC mismatch")
 
     frame_id = FrameId(id_value, extended=extended)

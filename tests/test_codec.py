@@ -11,9 +11,14 @@ from vcanlab.codec import (CrcError, DecodeError, FormError, StuffError,
                            stuff)
 from vcanlab.frame import data_frame, remote_frame
 
-from oracles import crc15_oracle, decode_frame_serial, longest_run, random_frame
+from oracles import (crc15_oracle, decode_frame_serial, destuff_serial,
+                     longest_run, random_frame)
 
 bit_streams = st.lists(st.integers(0, 1), max_size=300)
+# Runs of 1-7 equal levels, so that 5-runs, stuff bits and 6-runs are common.
+run_streams = st.lists(st.tuples(st.integers(0, 1), st.integers(1, 7)),
+                       max_size=40).map(
+    lambda runs: [level for level, count in runs for _ in range(count)])
 
 
 class TestCrc15:
@@ -68,6 +73,26 @@ class TestStuffing:
         out = stuff(bits)
         assert longest_run(out) <= 5
         assert destuff(out) == bits
+
+    @given(st.one_of(bit_streams, run_streams))
+    def test_destuff_matches_the_serial_reference(self, bits):
+        assert decode_outcome(destuff, bits) == decode_outcome(destuff_serial, bits)
+
+
+@pytest.mark.parametrize("level", [-1, 2, 7, 255, 256])
+@pytest.mark.parametrize("func", [crc15, destuff, bits_to_string])
+def test_list_functions_reject_an_invalid_level_at_its_bit(func, level):
+    bits = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0]
+    for at in (0, 4, len(bits) - 1):
+        bad = bits + [9]  # a later invalid level is not the one reported
+        bad[at] = level
+        with pytest.raises(FormError) as exc:
+            func(bad)
+        assert exc.value.offset == at
+    # reported ahead of the stuff error at bit 5
+    with pytest.raises(FormError) as exc:
+        func([0] * 7 + [level])
+    assert exc.value.offset == 7
 
 
 class TestFrameLength:

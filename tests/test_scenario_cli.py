@@ -102,6 +102,20 @@ class TestParseScenario:
                       [])
         assert parse_scenario(render_scenario(sc)) == sc
 
+    @pytest.mark.parametrize("spec", [
+        "+100/700", "1_00/700", "0x100/700", "\u0661\u0660\u0660/700",
+        "100/0x7F0", "-0/700", "100/+7F0", "100/", "/700",
+    ])
+    def test_malformed_filter_hex_rejected(self, spec, tmp_path):
+        text = GOOD.replace("node b", f"node b filter={spec}")
+        with pytest.raises(ScenarioSyntaxError) as exc:
+            parse_scenario(text)
+        assert exc.value.line_no == 4
+        assert "bad filter hex" in str(exc.value)
+        path = tmp_path / "s.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(path)]) == 2
+
     def test_filter_too_wide_rejected(self):
         with pytest.raises(ScenarioSyntaxError) as exc:
             parse_scenario(GOOD.replace("node b", "node b filter=20000000/0"))

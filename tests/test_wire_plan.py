@@ -8,17 +8,18 @@ from hypothesis import given, settings, strategies as st
 from vcanlab import codec
 from vcanlab.bus import Bus, BusConfig, ScheduleEntry
 from vcanlab.codec import (EXT_ARBITRATION_END, RECESSIVE, STD_ARBITRATION_END,
-                           TAIL_BITS, crc15, frame_body_bits, stuff,
+                           TAIL_BITS, frame_body_bits, stuff,
                            stuff_with_positions, wire_plan)
 from vcanlab.frame import Frame, FrameId, FrameKind, data_frame, remote_frame
 
-from oracles import random_frame
+from oracles import crc15_oracle, random_frame
 
 
 def reference_region(frame):
-    """SOF through the last CRC bit, unstuffed, from the list functions."""
+    """SOF through the last CRC bit, unstuffed, with the CRC from the
+    long-division oracle."""
     body = frame_body_bits(frame)
-    crc = crc15(body)
+    crc = crc15_oracle(body)
     return body + [(crc >> i) & 1 for i in range(14, -1, -1)], crc
 
 
