@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import gc
 import heapq
 from collections import deque
 from dataclasses import dataclass
@@ -103,6 +104,9 @@ class EventKind(enum.Enum):
     BUS_OFF_ENTERED = "BusOffEntered"
     BUS_OFF_RECOVERED = "BusOffRecovered"
     FAULT_INJECTED = "FaultInjected"
+
+    # Members compare by identity, as frame.FrameKind explains.
+    __hash__ = object.__hash__
 
 
 # Members read on every frame, bound once, as node.py explains.
@@ -340,42 +344,53 @@ class Bus:
         ``until_bits`` is simulated, so the bus then stands at ``until_bits``;
         a horizon behind ``now`` raises ``ValueError``, and one that is not an
         integer ``TypeError``; either changes nothing.
-        """
-        if not isinstance(until_bits, int):
-            raise TypeError(f"horizon must be an integer, got {until_bits!r}")
-        if until_bits < self._t:
-            raise ValueError(
-                f"horizon {until_bits} is behind the bus, which stands at {self._t}")
-        nodes = self.nodes
-        for entry in schedule:
-            if entry.node not in nodes:
-                raise ScheduleForDetachedNodeError(
-                    f"schedule references unattached node {entry.node!r}")
-        arrival_bit = self.arrival_bit
-        items = [(arrival_bit(time_us), seq, nodes[name], frame)
-                 for seq, (time_us, name, frame)
-                 in enumerate(schedule, self._pending_seq + 1)]
-        if items:
-            self._pending_seq = items[-1][1]
-            # Sequence numbers are unique, so ties never compare nodes.
-            items.sort()
-            self._pending = deque(heapq.merge(self._pending, items))
 
-        # Node states and filters may have been assigned since the last call.
-        self._bus_off = {n for n in self._order if n.state.mode is _BUS_OFF}
-        self._rx_owing = dict.fromkeys(n for n in self._order if n.state.rec)
-        if self._active:
-            # A transmitter set bus-off since then leaves the wire; its frame
-            # stays queued. With none left, the slot ends as if aborted at
-            # the last bit simulated.
-            self._active = [e for e in self._active if e.node not in self._bus_off]
-            if not self._active:
-                self._end_slot(self._t - 1)
-        self._plans.clear()
-        self._events = []
-        while self._t < until_bits:
-            self._step(until_bits)
-        return self._events
+        The cyclic garbage collector is off for the call and left as the
+        caller had it. A run leaves no cyclic garbage, so a collection inside
+        the call would free nothing; it would only walk the call's trace
+        events, a tuple each, again and again.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if not isinstance(until_bits, int):
+                raise TypeError(f"horizon must be an integer, got {until_bits!r}")
+            if until_bits < self._t:
+                raise ValueError(
+                    f"horizon {until_bits} is behind the bus, which stands at {self._t}")
+            nodes = self.nodes
+            for entry in schedule:
+                if entry.node not in nodes:
+                    raise ScheduleForDetachedNodeError(
+                        f"schedule references unattached node {entry.node!r}")
+            arrival_bit = self.arrival_bit
+            items = [(arrival_bit(time_us), seq, nodes[name], frame)
+                     for seq, (time_us, name, frame)
+                     in enumerate(schedule, self._pending_seq + 1)]
+            if items:
+                self._pending_seq = items[-1][1]
+                # Sequence numbers are unique, so ties never compare nodes.
+                items.sort()
+                self._pending = deque(heapq.merge(self._pending, items))
+
+            # Node states and filters may have been assigned since the last call.
+            self._bus_off = {n for n in self._order if n.state.mode is _BUS_OFF}
+            self._rx_owing = dict.fromkeys(n for n in self._order if n.state.rec)
+            if self._active:
+                # A transmitter set bus-off since then leaves the wire; its frame
+                # stays queued. With none left, the slot ends as if aborted at
+                # the last bit simulated.
+                self._active = [e for e in self._active if e.node not in self._bus_off]
+                if not self._active:
+                    self._end_slot(self._t - 1)
+            self._plans.clear()
+            self._events = []
+            while self._t < until_bits:
+                self._step(until_bits)
+            return self._events
+        finally:
+            if enabled:
+                gc.enable()
 
     def _pop_arrivals(self, t: int) -> None:
         """Submit the frames that arrive at or before bit ``t``."""

@@ -8,13 +8,13 @@ recessive = 1.
 :func:`encode_frame` both use it. It computes the CRC over SOF through the
 data as one integer and stuffs a byte at a time through a table of the 9
 stuffing states, built from :func:`stuff_with_positions`; :func:`stuff`
-returns that function's levels. :func:`decode_frame` destuffs and parses on
+walks the same table. :func:`decode_frame` destuffs and parses on
 ``'0'/'1'`` strings. :func:`crc15` runs the integer CRC and :func:`destuff`
 the decoder's scan, so each rule is written once. :func:`crc15`,
-:func:`destuff`, :func:`decode_frame` and :func:`bits_to_string` raise
-FormError at the first level that is not 0 or 1. The independent references
-(long-division CRC, bit-serial destuffing and decoding) live in
-``tests/oracles.py``.
+:func:`stuff`, :func:`destuff`, :func:`decode_frame` and
+:func:`bits_to_string` raise FormError at the first level that is not 0 or
+1. The independent references (long-division CRC, bit-serial destuffing and
+decoding) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -137,8 +137,11 @@ def stuff_with_positions(bits: Sequence[int]) -> Tuple[BitStream, List[int]]:
 
 
 def stuff(bits: Sequence[int]) -> BitStream:
-    """Insert a complement bit after every run of 5 equal levels."""
-    return stuff_with_positions(bits)[0]
+    """Insert a complement bit after every run of 5 equal levels, through the
+    table :func:`wire_plan` stuffs with; FormError at the first level that is
+    not 0 or 1."""
+    raw = bits_to_string(bits)
+    return list(_stuff_int(int(raw or "0", 2), len(raw))[0])
 
 
 def destuff(bits: Sequence[int]) -> BitStream:
@@ -234,6 +237,27 @@ def _build_stuff_table() -> List[list]:
 _STUFF_START = _build_stuff_table()
 
 
+def _stuff_int(value: int, nbits: int) -> Tuple[bytes, List[int]]:
+    """Stuff the ``nbits`` low bits of ``value``, MSB first, a byte at a time
+    through the table. Returns the levels, stuff bits included, and the
+    input index after which each stuff bit goes."""
+    # Zero-padded to whole bytes on the right; stuff bits that follow pad
+    # bits are dropped, and one that follows the last input bit is kept.
+    pad = -nbits % 8
+    after: List[int] = []
+    levels = []
+    row = _STUFF_START
+    base = 0
+    for byte in (value << pad).to_bytes((nbits + pad) >> 3, "big"):
+        out, row, offsets = row[byte]
+        levels.append(out)
+        for i in offsets:
+            after.append(base + i)
+        base += 8
+    count = bisect_left(after, nbits)
+    return b"".join(levels)[:nbits + count], after[:count]
+
+
 def wire_plan(frame: Frame) -> WirePlan:
     """Lay out ``frame`` for the wire: :func:`frame_body_bits` and its
     :func:`crc15` as one integer, stuffed a byte at a time through a table
@@ -254,28 +278,9 @@ def wire_plan(frame: Frame) -> WirePlan:
         body = body << 8 * dlc | int.from_bytes(frame.payload, "big")
         body_len += 8 * dlc
     crc = _crc15_int(body, body_len)
-
-    # SOF through the last CRC bit, zero-padded to whole bytes on the right:
-    # 6 pad bits for a standard frame, 2 for an extended one.
-    region_len = body_len + CRC_WIDTH
-    pad = -region_len % 8
-    region = (body << CRC_WIDTH | crc) << pad
-    # ``after`` holds the region index after which each stuff bit goes.
-    after: List[int] = []
-    levels = []
-    row = _STUFF_START
-    base = 0
-    for byte in region.to_bytes((region_len + pad) >> 3, "big"):
-        out, row, offsets = row[byte]
-        levels.append(out)
-        for i in offsets:
-            after.append(base + i)
-        base += 8
-    # Stuff bits that follow pad bits are dropped; one that follows the last
-    # CRC bit is sent.
-    count = bisect_left(after, region_len)
-    stream = b"".join(levels)[:region_len + count] + _TAIL
-    return WirePlan(stream, crc, count, arb + bisect_left(after, arb))
+    # SOF through the last CRC bit, stuffed.
+    region, after = _stuff_int(body << CRC_WIDTH | crc, body_len + CRC_WIDTH)
+    return WirePlan(region + _TAIL, crc, len(after), arb + bisect_left(after, arb))
 
 
 def encode_frame(frame: Frame) -> EncodedFrame:

@@ -1,6 +1,9 @@
+import contextlib
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vcanlab.bus import (Bus, BusConfig, DuplicateNameError, EventKind,
                          RateDistanceError, RateRangeError, ScheduleEntry,
@@ -12,6 +15,8 @@ from vcanlab.frame import Frame, FrameId, FrameKind, data_frame, remote_frame
 from vcanlab.node import AcceptanceFilter, NodeMode, NodeState
 
 from oracles import arbitration_winner, drive_pattern, random_frame
+from test_fast_paths import WITHOUT_EXPLAIN, run_scenario, scenarios, with_skip
+from test_golden import CASES, render
 
 
 def kinds(trace):
@@ -512,3 +517,125 @@ def test_crowded_slots_match_the_arbitration_oracle(monkeypatch, skip):
     for name, frame in zip(names, frames):
         others = [f for other, f in zip(names, frames) if other != name]
         assert sorted(bus.nodes[name].received, key=frames.index) == others
+
+
+# Bus.run turns the cyclic collector off for the call. That is safe because a
+# run leaves the collector nothing to free: the bus drops no reference cycle.
+# (A queued frame names its node and the node's queue holds it, but a
+# delivered frame leaves the queue first, so reference counting frees it; a
+# bus dropped with frames still queued is the collector's work, later.)
+
+@contextlib.contextmanager
+def collections_around_runs():
+    """Turn the collector off and set aside every object that exists, then
+    record what ``gc.collect()`` finds right before and right after each
+    ``Bus.run`` call made inside the block."""
+    found = []
+    run = Bus.run
+
+    def collecting(self, *args):
+        found.append(gc.collect())
+        try:
+            return run(self, *args)
+        finally:
+            found.append(gc.collect())
+
+    enabled = gc.isenabled()
+    gc.disable()
+    # The collections then see only what the block makes: neither earlier
+    # garbage nor the cost of walking the whole test session's heap.
+    gc.freeze()
+    Bus.run = collecting
+    try:
+        yield found
+    finally:
+        Bus.run = run
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("name,skip", [(name, skip) for name in CASES for skip in (True, False)],
+                         ids=[name + ("" if skip else "-stepped")
+                              for name in CASES for skip in (True, False)])
+def test_golden_runs_leave_no_cycles(monkeypatch, name, skip):
+    # Each golden scenario with its faults, bus-off presets and splits.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    with collections_around_runs() as found:
+        render(name)
+    assert found and found == [0] * len(found)
+
+
+def test_contended_110_node_run_leaves_no_cycles():
+    frames = crowded_frames()
+    names = [f"n{i:03d}" for i in range(len(frames))]
+    with collections_around_runs() as found:
+        bus = Bus(BusConfig())
+        for name in names:
+            bus.attach_node(name)
+        trace = bus.run([ScheduleEntry(0, name, frame)
+                         for name, frame in zip(names, frames)], 20_000)
+        trace += bus.run([], 40_000)
+    assert found == [0, 0, 0, 0]
+    assert EventKind.ARBITRATION_LOST in kinds(trace)
+    assert len(delivered(trace)) == len(frames)
+
+
+@settings(max_examples=150, deadline=None, phases=WITHOUT_EXPLAIN)
+@given(scenarios(), st.data(), st.booleans())
+def test_random_runs_leave_no_cycles(scn, data, skip):
+    # Random schedules, faults, bus-off presets and a split, as in
+    # test_fast_paths.py.
+    split = data.draw(st.integers(0, scn[2]))
+    with collections_around_runs() as found:
+        with_skip(skip, run_scenario, scn, [split])
+    assert found and found == [0] * len(found)
+
+
+class TestCollectorState:
+    """Bus.run leaves the collector as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @staticmethod
+    def two_nodes():
+        bus = Bus(BusConfig())
+        bus.attach_node("a")
+        bus.attach_node("b")
+        return bus
+
+    def test_enabled_stays_enabled_and_is_off_during_the_run(self, monkeypatch):
+        during = []
+        step = Bus._step
+
+        def recording(self, until_bits):
+            during.append(gc.isenabled())
+            return step(self, until_bits)
+
+        monkeypatch.setattr(Bus, "_step", recording)
+        gc.enable()
+        self.two_nodes().run([ScheduleEntry(0, "a", data_frame(0x100, b"\x01"))], 500)
+        assert during and not any(during)
+        assert gc.isenabled()
+
+    def test_a_callers_disable_is_kept(self):
+        gc.disable()
+        self.two_nodes().run([ScheduleEntry(0, "a", data_frame(0x100, b"\x01"))], 500)
+        assert not gc.isenabled()
+
+    def test_enabled_again_when_the_step_loop_raises(self, monkeypatch):
+        def failing(self, until_bits):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(Bus, "_step", failing)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="step failed"):
+            self.two_nodes().run([], 500)
+        assert gc.isenabled()

@@ -8,7 +8,7 @@ from vcanlab.codec import (CrcError, DecodeError, FormError, StuffError,
                            TruncatedError, bits_from_string, bits_to_string,
                            crc15, decode_frame, destuff, encode_frame,
                            frame_bit_length, frame_from_text, frame_to_text,
-                           stuff)
+                           stuff, stuff_with_positions)
 from vcanlab.frame import data_frame, remote_frame
 
 from oracles import (crc15_oracle, decode_frame_serial, destuff_serial,
@@ -74,13 +74,27 @@ class TestStuffing:
         assert longest_run(out) <= 5
         assert destuff(out) == bits
 
+    # ``stuff`` walks the byte table that ``wire_plan`` stuffs with;
+    # ``stuff_with_positions`` is the rule the table is built from.
+    @settings(max_examples=300)
+    @given(st.one_of(st.lists(st.integers(0, 1), max_size=127),
+                     run_streams.map(lambda bits: bits[:127])))
+    def test_stuff_matches_the_rule_the_table_is_built_from(self, bits):
+        assert stuff(bits) == stuff_with_positions(bits)[0]
+
+    @pytest.mark.parametrize("bits,at", [([2] * 5, 0), ([0, 1, 2], 2)])
+    def test_stuff_rejects_an_invalid_level(self, bits, at):
+        with pytest.raises(FormError) as exc:
+            stuff(bits)
+        assert exc.value.offset == at
+
     @given(st.one_of(bit_streams, run_streams))
     def test_destuff_matches_the_serial_reference(self, bits):
         assert decode_outcome(destuff, bits) == decode_outcome(destuff_serial, bits)
 
 
 @pytest.mark.parametrize("level", [-1, 2, 7, 255, 256])
-@pytest.mark.parametrize("func", [crc15, destuff, bits_to_string])
+@pytest.mark.parametrize("func", [crc15, stuff, destuff, bits_to_string])
 def test_list_functions_reject_an_invalid_level_at_its_bit(func, level):
     bits = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0]
     for at in (0, 4, len(bits) - 1):

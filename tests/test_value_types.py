@@ -2,12 +2,13 @@
 hashed like the plain tuple of their fields, and checked on every path that
 builds one, ``_make``, ``_replace`` and unpickling included."""
 
+import copy
 import pickle
 import re
 
 import pytest
 
-from vcanlab.bus import ScheduleEntry
+from vcanlab.bus import EventKind, ScheduleEntry
 from vcanlab.frame import (Frame, FrameId, FrameKind, IdOutOfRangeError,
                            PayloadTooLongError)
 from vcanlab.sensornet import MonitorVerdict, SensorReading
@@ -51,6 +52,7 @@ def test_value_type_contract(name):
     value, text, field, invalid, error = CASES[name]
     fields = tuple(getattr(value, f) for f in value._fields)
     assert value == fields and hash(value) == hash(fields)
+    assert {fields: value}[value] is value
     assert tuple(value) == fields
     assert repr(value) == text
     with pytest.raises(AttributeError):
@@ -83,3 +85,16 @@ def test_unpickling_validates():
     assert b"I291\n" in text
     with pytest.raises(IdOutOfRangeError, match="^id 0x800 outside"):
         pickle.loads(text.replace(b"I291\n", b"I2048\n"))
+
+
+# Enum members compare by identity, so they hash by it too: Enum's own
+# __hash__ is a Python function, which every hash of a Frame would run.
+@pytest.mark.parametrize("member", [*FrameKind, *EventKind], ids=str)
+def test_enum_member_is_an_identity_key(member):
+    assert type(member).__hash__ is object.__hash__
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(member, protocol)) is member
+    assert copy.copy(member) is member and copy.deepcopy(member) is member
+    table = {m: m.value for m in type(member)}
+    assert len(table) == len(type(member))
+    assert table[member] == table[copy.deepcopy(member)] == member.value
