@@ -428,23 +428,32 @@ class Bus:
             if len(active) == 1 and self._SKIP and self._skip(t, until_bits):
                 return
             return self._tx_bit(self._t, until_bits)
+        self._idle(t, until_bits)
 
-        # Intermission or idle: only a fault drives the bus, its level read
-        # by nothing but the bus-off nodes' recovery count, and no frame can
-        # start before the intermission ends. So the bus may jump to the next
-        # arrival or the horizon, over any faults, crediting the bits it skips
-        # to the bus-off nodes, laid out recessive but for the faults; while
-        # a node on the bus has a frame queued, only to the intermission's
-        # end. A node that recovers in that stretch may hold a queued frame,
-        # so the jump ends with the bit it recovers at, and the faults after
-        # that bit are left to the next step. While a node is bus-off the jump
-        # is at most one whole recovery long, so its layout never grows with
-        # the horizon.
+    def _idle(self, t: int, until_bits: int) -> None:
+        """Advance through the intermission or idle bus from bit ``t``, whose
+        arrivals are queued.
+
+        Only a fault drives the bus, its level read by nothing but the
+        bus-off nodes' recovery count, and no frame can start before the
+        intermission ends. So the bus may jump to the next arrival or the
+        horizon, over any faults, crediting the bits it skips to the bus-off
+        nodes, laid out recessive but for the faults; while a node on the bus
+        has a frame queued, only to the intermission's end. While no node is
+        bus-off, no arrival can be refused and no mode can change before
+        that end, so the arrivals up to it (and short of the horizon) are
+        queued at once, and the jump does not stop at each. A node that
+        recovers in the stretch may hold a queued frame, so the jump ends
+        with the bit it recovers at, and the faults after that bit are left
+        to the next step. While a node is bus-off the jump is at most one
+        whole recovery long, so its layout never grows with the horizon.
+        """
         nxt = t + 1
         if self._SKIP:
-            nxt = until_bits
-            if self._pending:
-                nxt = min(nxt, self._pending[0][0])
+            pending = self._pending
+            if pending and pending[0][0] < self._free and not self._bus_off:
+                self._pop_arrivals(min(self._free, until_bits) - 1)
+            nxt = min(until_bits, pending[0][0]) if pending else until_bits
             if nxt > self._free > t and self._queued():
                 nxt = self._free
         if self._bus_off:
@@ -454,7 +463,7 @@ class Bus:
             for bit in faults:
                 levels[bit - t] = self._faults[bit]
             nxt = t + self._credit(levels, t, faults)
-        else:
+        elif self._fault_bits:
             faults = self._faults_in(t, nxt)
             if faults:
                 self._emit_faults(faults)
@@ -477,10 +486,8 @@ class Bus:
         ``FaultInjected`` event. The skip stops at the first other fault,
         which is stepped, and at the horizon, so the ACK slot is decided by
         the run that simulates it; and before the ACK slot unless another
-        node will ACK. Otherwise it runs through the last EOF bit and
-        delivers the frame. While no node is bus-off, nothing but arrivals
-        can happen in a fault-free intermission, and each arrival is queued;
-        so when the horizon lies past the intermission, the step jumps it too.
+        node will ACK. Otherwise it runs through the last EOF bit, delivers
+        the frame and goes on through the intermission as :meth:`_idle`.
         """
         active = self._active
         plan = active[0].enc
@@ -515,12 +522,16 @@ class Bus:
         self._k = stop
         self._t = t
         if stop == end:
-            free = t + INTERMISSION_BITS
-            jump = not self._bus_off and until_bits >= free and not self._faults_in(t, free)
-            self._pop_arrivals(free - 1 if jump else t - 1)
+            # A delivery moves no node into or out of bus-off, which alone
+            # decides whether an arrival is queued, so the arrivals at ``t``
+            # may be queued before it. Unless the run ends with the frame,
+            # the step then does the next step's work but its slot start: no
+            # frame starts in the intermission.
+            more = t < until_bits
+            self._pop_arrivals(t if more else t - 1)
             self._deliver(active, t - 1)
-            if jump:
-                self._t = free
+            if more:
+                self._idle(t, until_bits)
             return True
         # The skip ends the run at its last bit, or the step goes on at ``t``.
         if t == until_bits:

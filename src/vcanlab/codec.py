@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from .frame import Frame, FrameId
@@ -431,9 +432,18 @@ def bits_from_string(text: str) -> BitStream:
     return out
 
 
+# Distinct frames and texts each text function keeps. A trace renders every
+# frame at least twice (``TxStart`` and ``FrameDelivered``), and sensor
+# readings repeat, so most calls are hits. Frames are immutable, and equal
+# frames render equal text, since a frame's fields are validated by type.
+# Errors are not cached: bad text raises on every call.
+TEXT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=TEXT_CACHE_SIZE)
 def frame_to_text(frame: Frame) -> str:
     """Candump-style rendering: ``123#ABCD`` (standard), 8-digit id for
-    extended, ``123#R4`` for remote frames."""
+    extended, ``123#R4`` for remote frames. Memoized (:data:`TEXT_CACHE_SIZE`)."""
     (value, extended), kind, dlc, payload = frame
     ident = f"{value:08X}" if extended else f"{value:03X}"
     if kind is _REMOTE:
@@ -447,9 +457,11 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _DLC_DIGITS = frozenset("012345678")
 
 
+@lru_cache(maxsize=TEXT_CACHE_SIZE)
 def frame_from_text(text: str) -> Frame:
     """Inverse of :func:`frame_to_text`. Either case of hex digit is read; a
-    remote frame's DLC is one digit 0-8, and an empty one means 0."""
+    remote frame's DLC is one digit 0-8, and an empty one means 0. Memoized
+    (:data:`TEXT_CACHE_SIZE`); an error is raised again on every call."""
     ident, sep, rest = text.strip().partition("#")
     if not sep:
         raise ValueError(f"missing '#' in frame {text!r}")

@@ -73,6 +73,8 @@ class FrameId(ValidatedTuple, _FrameIdFields):
     def __new__(cls, value: int, extended: bool = False) -> "FrameId":
         if type(value) is not int:
             raise TypeError(f"id must be an integer, got {value!r}")
+        if type(extended) is not bool:
+            raise TypeError(f"extended must be a bool, got {extended!r}")
         limit = MAX_EXTENDED_ID if extended else MAX_STANDARD_ID
         if not 0 <= value <= limit:
             sign = "-" if value < 0 else ""
@@ -91,6 +93,14 @@ class FrameId(ValidatedTuple, _FrameIdFields):
         return cls(value, extended=True)
 
 
+def _payload_bytes(payload) -> bytes:
+    """``payload`` as ``bytes``. An ``int``, which ``bytes`` would take as a
+    count of zero bytes, raises ``TypeError``."""
+    if isinstance(payload, int):
+        raise TypeError(f"payload must be bytes, got {payload!r}")
+    return bytes(payload)
+
+
 class _FrameFields(NamedTuple):
     id: FrameId
     kind: FrameKind
@@ -100,38 +110,55 @@ class _FrameFields(NamedTuple):
 
 class Frame(ValidatedTuple, _FrameFields):
     """A data or remote frame. Data frames carry dlc == len(payload) bytes;
-    remote frames carry no payload but request dlc bytes."""
+    remote frames carry no payload but request dlc bytes.
+
+    Each field is checked by type as well as by value, so equal frames are
+    the same frame: a dlc of ``4.0`` or ``True`` equals ``4`` or ``1``, and
+    a plain ``(291, False)`` equals ``FrameId(291)``, yet each would render
+    differently.
+    """
 
     __slots__ = ()
 
     def __new__(cls, id: FrameId, kind: FrameKind, dlc: int,
                 payload: bytes = b"") -> "Frame":
         if type(payload) is not bytes:  # frames are hashable values
-            payload = bytes(payload)
+            payload = _payload_bytes(payload)
+        if type(id) is not FrameId:
+            raise TypeError(f"frame id must be a FrameId, got {id!r}")
+        if type(dlc) is not int:
+            raise TypeError(f"dlc must be an integer, got {dlc!r}")
         if not 0 <= dlc <= MAX_PAYLOAD:
             raise PayloadTooLongError(f"dlc {dlc} out of range 0..8")
-        if kind is _DATA and len(payload) != dlc:
-            raise PayloadTooLongError(
-                f"data frame payload length {len(payload)} != dlc {dlc}"
-            )
-        if kind is _REMOTE and payload:
-            raise PayloadTooLongError("remote frame must carry no payload")
+        if kind is _DATA:
+            if len(payload) != dlc:
+                raise PayloadTooLongError(
+                    f"data frame payload length {len(payload)} != dlc {dlc}"
+                )
+        elif kind is _REMOTE:
+            if payload:
+                raise PayloadTooLongError("remote frame must carry no payload")
+        else:
+            raise TypeError(f"frame kind must be a FrameKind, got {kind!r}")
         return _new(cls, (id, kind, dlc, payload))
 
 
 def make_frame(frame_id: FrameId, kind: FrameKind, payload_or_dlc) -> Frame:
     """Validated constructor.
 
-    For ``FrameKind.DATA`` pass the payload bytes; for ``FrameKind.REMOTE``
-    pass the requested DLC.
+    For ``FrameKind.DATA`` pass the payload: bytes, or an iterable of byte
+    values; an ``int``, which ``bytes`` would take as a count of zero bytes,
+    raises ``TypeError``. For ``FrameKind.REMOTE`` pass the requested DLC,
+    an ``int``; it is not converted, so any other type raises ``TypeError``.
     """
     if kind is _DATA:
-        payload = bytes(payload_or_dlc)
+        payload = payload_or_dlc
+        if type(payload) is not bytes:
+            payload = _payload_bytes(payload)
         if len(payload) > MAX_PAYLOAD:
             raise PayloadTooLongError(f"payload of {len(payload)} bytes exceeds 8")
         return Frame(frame_id, kind, len(payload), payload)
-    dlc = int(payload_or_dlc)
-    return Frame(frame_id, kind, dlc, b"")
+    return Frame(frame_id, kind, payload_or_dlc, b"")
 
 
 def data_frame(id_value: int, payload: bytes, extended: bool = False) -> Frame:

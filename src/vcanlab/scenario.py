@@ -79,6 +79,14 @@ def _parse_filter(spec: str, line_no: int) -> AcceptanceFilter:
         raise ScenarioSyntaxError(line_no, str(exc)) from None
 
 
+def _ascii_int(text: str, line_no: int, what: str) -> int:
+    """``text`` as a non-negative integer written in ASCII digits only;
+    ``int`` also takes signs, underscores, spaces and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ScenarioSyntaxError(line_no, f"bad {what} {text!r}")
+    return int(text)
+
+
 _TRUE = ("1", "true", "yes")
 _FALSE = ("0", "false", "no")
 _HEADER_KEYS = ("bitrate", "distance_m", "allow_slow", "run_bits")
@@ -110,10 +118,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioSyntaxError(line_no, f"{key}= given twice")
             seen_headers.add(key)
             if key == "bitrate":
-                try:
-                    bitrate = int(value)
-                except ValueError:
-                    raise ScenarioSyntaxError(line_no, "bad bitrate") from None
+                bitrate = _ascii_int(value, line_no, "bitrate")
             elif key == "distance_m":
                 try:
                     distance = float(value)
@@ -127,12 +132,7 @@ def parse_scenario(text: str) -> Scenario:
                 else:
                     raise ScenarioSyntaxError(line_no, f"bad allow_slow {value!r}")
             else:
-                try:
-                    run_bits = int(value)
-                except ValueError:
-                    raise ScenarioSyntaxError(line_no, "bad run_bits") from None
-                if run_bits < 0:
-                    raise ScenarioSyntaxError(line_no, "run_bits must be non-negative")
+                run_bits = _ascii_int(value, line_no, "run_bits")
         elif head == "node":
             if len(parts) < 2:
                 raise ScenarioSyntaxError(line_no, "node line needs a name")
@@ -152,12 +152,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(parts) != 3:
                 raise ScenarioSyntaxError(
                     line_no, f"expected '<time_us> <node> <frame>', got {line!r}")
-            try:
-                time_us = int(parts[0])
-            except ValueError:
-                raise ScenarioSyntaxError(line_no, f"bad time {parts[0]!r}") from None
-            if time_us < 0:
-                raise ScenarioSyntaxError(line_no, "time must be non-negative")
+            time_us = _ascii_int(parts[0], line_no, "time")
             if parts[1] not in names:
                 raise UnknownNodeError(line_no, f"undeclared node {parts[1]!r}")
             frame = frames.get(parts[2])

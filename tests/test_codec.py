@@ -325,3 +325,59 @@ class TestTextForms:
     def test_malformed_frame_text_rejected(self, text):
         with pytest.raises(ValueError):
             frame_from_text(text)
+
+
+# Few identifiers, so that drawn frames and texts repeat and the memo hits.
+@st.composite
+def text_frames(draw):
+    extended = draw(st.booleans())
+    top = (1 << (29 if extended else 11)) - 1
+    ident = draw(st.sampled_from([0, 0x123, top]) | st.integers(0, top))
+    if draw(st.booleans()):
+        return remote_frame(ident, draw(st.integers(0, 8)), extended)
+    return data_frame(ident, draw(st.sampled_from([b"", b"\xab"]) | st.binary(max_size=8)),
+                      extended)
+
+
+# Valid texts in either case, and near misses built from the grammar's own
+# characters, from its whitespace and from digits that int() also takes.
+frame_texts = (text_frames().map(frame_to_text)
+               | text_frames().map(lambda f: frame_to_text(f).lower())
+               | st.text("0123456789abcdefABCDEFRx#+_ \u0663", max_size=20)
+               | st.text(max_size=12))
+
+
+def text_outcome(fn, arg):
+    """The value ``fn`` returns with its type, or the type and message of
+    what it raises."""
+    try:
+        value = fn(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+class TestTextMemo:
+    @given(st.lists(text_frames(), max_size=20))
+    def test_frame_to_text_matches_the_uncached_function(self, frames):
+        for frame in frames * 2:
+            assert (text_outcome(frame_to_text, frame)
+                    == text_outcome(frame_to_text.__wrapped__, frame))
+
+    @given(st.lists(frame_texts, max_size=20))
+    def test_frame_from_text_matches_the_uncached_function(self, texts):
+        for text in texts * 2:
+            assert (text_outcome(frame_from_text, text)
+                    == text_outcome(frame_from_text.__wrapped__, text))
+
+    def test_bad_text_raises_on_every_call(self):
+        before = frame_from_text.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^invalid identifier hex '12G'$"):
+                frame_from_text("12G#00")
+        after = frame_from_text.cache_info()
+        assert after.misses == before.misses + 3 and after.hits == before.hits
+
+    @pytest.mark.parametrize("func", [frame_to_text, frame_from_text])
+    def test_cache_size_is_the_module_constant(self, func):
+        assert func.cache_info().maxsize == codec.TEXT_CACHE_SIZE == 256

@@ -937,6 +937,44 @@ def test_a_lone_frame_takes_one_step(steps):
     assert len(steps) <= 21
 
 
+@pytest.mark.parametrize("ghost", [False, True])
+@pytest.mark.parametrize("fault", [None, DOMINANT, RECESSIVE])
+def test_a_delivery_and_its_intermission_take_one_step(steps, fault, ghost):
+    # The step that delivers a lone frame also jumps its intermission, over
+    # a fault there and while a third node is bus-off, and gives the trace
+    # plain stepping gives.
+    def run():
+        bus = lone_bus()
+        if ghost:
+            force_bus_off(bus.attach_node("ghost"))
+        if fault is not None:
+            bus.inject_fault(PLAN.total_len + 1, fault)
+        trace = bus.run([ScheduleEntry(0, "solo", LONE)] * 2, 3 * PLAN.total_len)
+        return outcome(bus, trace)
+
+    plain = with_skip(False, run)
+    steps.clear()
+    assert run() == plain
+    assert len(steps) <= 2
+
+
+def test_an_arrival_in_the_intermission_costs_no_step(steps):
+    # While no node is bus-off, an arrival inside a delivery's intermission
+    # is queued by the step that delivers, which then jumps to the
+    # intermission's end.
+    def run():
+        bus = lone_bus()
+        trace = bus.run([ScheduleEntry(0, "solo", LONE),
+                         ScheduleEntry(PLAN.total_len + 1, "peer", LONE)],
+                        3 * PLAN.total_len)
+        return outcome(bus, trace)
+
+    plain = with_skip(False, run)
+    steps.clear()
+    assert run() == plain
+    assert len(steps) <= 2
+
+
 def test_a_burst_over_an_idle_bus_takes_one_step(steps):
     # With the peer bus-off, the idle bus jumps over a 300-bit dominant
     # burst to the horizon in one step, crediting the peer the recessive

@@ -142,6 +142,28 @@ class TestParseScenario:
         assert exc.value.line_no == 1
         assert parse_scenario("run_bits=0\n" + GOOD).run_bits == 0
 
+    # ``int`` takes the first five; a scenario's integers are ASCII digits
+    # only (an Arabic-Indic 3, a fullwidth 5).
+    @pytest.mark.parametrize("value", ["+5", "1_000", "\u0663", "\uff15", "-5",
+                                       "5.0", "0x10", "5e3"])
+    @pytest.mark.parametrize("field, line_no, template", [
+        ("time", 6, GOOD + "{} a t1230\n"),
+        ("bitrate", 1, GOOD.replace("bitrate=1000000", "bitrate={}")),
+        ("run_bits", 1, "run_bits={}\n" + GOOD),
+    ])
+    def test_integer_fields_take_ascii_digits_only(self, value, field, line_no,
+                                                   template, tmp_path, capsys):
+        text = template.format(value)
+        with pytest.raises(ScenarioSyntaxError,
+                           match=f"^line {line_no}: bad {field} ") as exc:
+            parse_scenario(text)
+        assert exc.value.line_no == line_no
+        path = tmp_path / "s.scn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line_no}" in err and "Traceback" not in err
+
     def test_allow_slow_values(self):
         for value, expected in (("1", True), ("true", True), ("yes", True),
                                 ("0", False), ("false", False), ("no", False)):

@@ -10,7 +10,7 @@ import pytest
 
 from vcanlab.bus import EventKind, ScheduleEntry
 from vcanlab.frame import (Frame, FrameId, FrameKind, IdOutOfRangeError,
-                           PayloadTooLongError)
+                           PayloadTooLongError, data_frame, remote_frame)
 from vcanlab.sensornet import MonitorVerdict, SensorReading
 
 STD = FrameId(0x123)
@@ -98,3 +98,75 @@ def test_enum_member_is_an_identity_key(member):
     table = {m: m.value for m in type(member)}
     assert len(table) == len(type(member))
     assert table[member] == table[copy.deepcopy(member)] == member.value
+
+
+# Fields of another type that compare equal to a valid one, or that a check
+# by value alone would take: each would give a frame that equals another
+# but renders different text, so every path refuses them.
+MISTYPED = {
+    "dlc-float": (REMOTE, {"dlc": 3.0}),
+    "dlc-bool": (Frame(STD, FrameKind.REMOTE, 1), {"dlc": True}),
+    "dlc-str": (REMOTE, {"dlc": "3"}),
+    "id-tuple": (DATA, {"id": (0x123, False)}),
+    "kind-str": (DATA, {"kind": "data"}),
+    "payload-int": (DATA, {"payload": 2}),  # bytes(2) is two zero bytes
+    "extended-int": (EXT, {"extended": 1}),
+    "extended-str": (STD, {"extended": "yes"}),
+    "extended-none": (STD, {"extended": None}),
+}
+
+
+class _Forged:
+    """Pickles as a call of ``cls(*args)``, as an edited pickle could."""
+
+    def __init__(self, cls, args):
+        self.cls, self.args = cls, args
+
+    def __reduce__(self):
+        return self.cls, self.args
+
+
+@pytest.mark.parametrize("name", MISTYPED)
+def test_mistyped_field_refused_on_every_path(name):
+    value, changes = MISTYPED[name]
+    cls = type(value)
+    fields = {**value._asdict(), **changes}
+    with pytest.raises(TypeError) as direct:
+        cls(**fields)
+    message = f"^{re.escape(str(direct.value))}$"
+    with pytest.raises(TypeError, match=message):
+        value._replace(**changes)
+    with pytest.raises(TypeError, match=message):
+        cls._make(fields.values())
+    forged = pickle.dumps(_Forged(cls, tuple(fields.values())))
+    with pytest.raises(TypeError, match=message):
+        pickle.loads(forged)
+
+
+def test_a_float_dlc_no_longer_equals_a_frame():
+    # It used to: Frame(STD, REMOTE, 4.0) == remote_frame(0x123, 4), while
+    # one rendered 123#R4.0 and the other 123#R4.
+    with pytest.raises(TypeError, match="^dlc must be an integer, got 4.0$"):
+        Frame(STD, FrameKind.REMOTE, 4.0)
+    with pytest.raises(TypeError, match="^extended must be a bool, got 'yes'$"):
+        FrameId(0x123, "yes")
+
+
+@pytest.mark.parametrize("make, args", [
+    (remote_frame, (0x123, 4.7)),
+    (remote_frame, (0x123, "5")),
+    (remote_frame, (0x123, True)),
+    (data_frame, (0x123, 3)),      # bytes(3) would be three zero bytes
+    (data_frame, (0x123, True)),
+    (data_frame, (0x123, b"", 1)),
+], ids=["remote-float", "remote-str", "remote-bool", "data-int", "data-bool",
+        "extended-int"])
+def test_frame_helpers_convert_nothing(make, args):
+    with pytest.raises(TypeError):
+        make(*args)
+
+
+def test_frame_helpers_take_byte_values():
+    assert data_frame(0x123, bytearray(b"\x01\x02")) == data_frame(0x123, b"\x01\x02")
+    assert data_frame(0x123, [1, 2]).payload == b"\x01\x02"
+    assert remote_frame(0x123, 4) == Frame(STD, FrameKind.REMOTE, 4)
