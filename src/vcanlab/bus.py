@@ -403,7 +403,9 @@ class Bus:
 
     def _step(self, until_bits: int) -> None:
         t = self._t
-        self._pop_arrivals(t)
+        pending = self._pending
+        if pending and pending[0][0] <= t:
+            self._pop_arrivals(t)
         active = self._active
         if not active and t >= self._free:
             off = self._bus_off
@@ -421,9 +423,17 @@ class Bus:
                         if plan is None:
                             plan = plans[entry.frame] = codec.wire_plan(entry.frame)
                         entry.enc = plan
+                self._missed.clear()
+                if len(active) == 1 and self._SKIP and not off:
+                    end = t + active[0].enc.total_len
+                    bits = self._fault_bits
+                    if (end <= until_bits
+                            and (not bits or bisect.bisect_left(bits, t)
+                                 == bisect.bisect_left(bits, end))
+                            and self._acked(active)):
+                        return self._send_lone(active[0], end, until_bits)
                 self._active = active
                 self._k = 0
-                self._missed.clear()
         if active:
             if len(active) == 1 and self._SKIP and self._skip(t, until_bits):
                 return
@@ -468,6 +478,48 @@ class Bus:
             if faults:
                 self._emit_faults(faults)
         self._t = nxt
+
+    def _send_lone(self, entry: QueuedFrame, end: int, until_bits: int) -> None:
+        """Send the lone frame of ``entry`` from the SOF just started through
+        its last bit, ``end - 1``, deliver it and jump its intermission.
+
+        This is what :meth:`_skip`, :meth:`_deliver` and :meth:`_idle` do for
+        a slot with one transmitter, no node bus-off, no fault before ``end``,
+        another error-active node to ACK and the horizon at ``end`` or later,
+        done in one pass. No node enters or leaves bus-off in such a slot, so
+        no arrival is refused and the arrivals up to the intermission's end
+        (short of the horizon) are queued first. The sender is the only node
+        that does not receive the frame, and only a sender at tec > 0 and
+        receivers at rec > 0 need a counter update.
+        """
+        pending = self._pending
+        last = min(end + INTERMISSION_BITS, until_bits) - 1
+        if pending and pending[0][0] <= last:
+            self._pop_arrivals(last)
+        node = entry.node
+        node.queue.remove(entry)
+        state = node.state
+        if state.tec:
+            node.state = update_counters(state, _TX_SUCCESS)
+        node.delivered += 1
+        owing = self._rx_owing
+        if owing:
+            for n in [n for n in owing if n is not node]:
+                state = n.state = update_counters(n.state, _RX_SUCCESS)
+                if not state.rec:
+                    del owing[n]
+        frame = entry.frame
+        frame_id = frame.id
+        for n in self._order:
+            if n is not node and (n.filter is None or accepts(n.filter, frame_id)):
+                n.received.append(frame)
+        deliver_t = self._free = end + INTERMISSION_BITS
+        self._events.append(_new_event(TraceEvent, (
+            deliver_t, self._stamp(deliver_t), node.name, _FRAME_DELIVERED, frame)))
+        if end < until_bits:
+            self._idle(end, until_bits)
+        else:
+            self._t = end
 
     def _end_slot(self, t: int) -> None:
         self._active = []
@@ -617,12 +669,8 @@ class Bus:
         and was on the bus at every bit from SOF receives the frame once."""
         deliver_t = t + 1 + INTERMISSION_BITS
         # Neither a transmit nor a receive success sends a node bus-off, so
-        # one collection names every node that does not receive: for a lone
-        # sender while every other node is on the bus, just the sender.
-        if len(still) == 1 and not self._bus_off and not self._missed:
-            skip = (still[0].node,)
-        else:
-            skip = {entry.node for entry in still} | self._bus_off | self._missed
+        # one collection names every node that does not receive.
+        skip = {entry.node for entry in still} | self._bus_off | self._missed
         # A success at a zero counter changes nothing, so only a transmitter
         # with tec > 0 and a receiver with rec > 0 need the update.
         for entry in still:

@@ -14,6 +14,7 @@ Frames use the serial-line grammar (without the CR).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
@@ -87,6 +88,19 @@ def _ascii_int(text: str, line_no: int, what: str) -> int:
     return int(text)
 
 
+# The text ``repr`` writes for a finite non-negative float: ASCII digits, at
+# most one point and an exponent with an optional sign (``1e-05``, ``1e+16``).
+# ``float`` also takes signs, underscores, spaces, ``inf``, ``nan`` and
+# non-ASCII digits.
+_DISTANCE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:e[+-]?[0-9]+)?")
+
+
+def _distance(text: str, line_no: int) -> float:
+    if not _DISTANCE.fullmatch(text):
+        raise ScenarioSyntaxError(line_no, f"bad distance_m {text!r}")
+    return float(text)
+
+
 _TRUE = ("1", "true", "yes")
 _FALSE = ("0", "false", "no")
 _HEADER_KEYS = ("bitrate", "distance_m", "allow_slow", "run_bits")
@@ -107,10 +121,26 @@ def parse_scenario(text: str) -> Scenario:
     frames: Dict[str, Frame] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        # Event lines outnumber the rest, so their shape is tried first: a
+        # time of ASCII digits is neither a header key nor ``node``.
+        if len(parts) == 3 and parts[0].isdigit() and parts[0].isascii():
+            time_us, name, field = parts
+            if name not in names:
+                raise UnknownNodeError(line_no, f"undeclared node {name!r}")
+            frame = frames.get(field)
+            if frame is None:
+                if not field.isascii():
+                    raise ScenarioSyntaxError(line_no, "bad frame: non-ASCII input")
+                try:
+                    frame = parse_serial_line(field.encode("ascii"))
+                except SerialParseError as exc:
+                    raise ScenarioSyntaxError(line_no, f"bad frame: {exc}") from None
+                frames[field] = frame
+            schedule.append(ScheduleEntry(int(time_us), name, frame))
             continue
-        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
         head = parts[0]
         key, eq, value = head.partition("=")
         if eq and key in _HEADER_KEYS:
@@ -120,10 +150,7 @@ def parse_scenario(text: str) -> Scenario:
             if key == "bitrate":
                 bitrate = _ascii_int(value, line_no, "bitrate")
             elif key == "distance_m":
-                try:
-                    distance = float(value)
-                except ValueError:
-                    raise ScenarioSyntaxError(line_no, "bad distance_m") from None
+                distance = _distance(value, line_no)
             elif key == "allow_slow":
                 if value in _TRUE:
                     allow_slow = True
@@ -147,24 +174,12 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioSyntaxError(line_no, f"unknown node option {extra!r}")
             names.add(name)
             nodes.append((name, filt))
+        elif len(parts) != 3:
+            raise ScenarioSyntaxError(
+                line_no, f"expected '<time_us> <node> <frame>', got {raw.strip()!r}")
         else:
-            # event line: <time_us> <node> <frame>
-            if len(parts) != 3:
-                raise ScenarioSyntaxError(
-                    line_no, f"expected '<time_us> <node> <frame>', got {line!r}")
-            time_us = _ascii_int(parts[0], line_no, "time")
-            if parts[1] not in names:
-                raise UnknownNodeError(line_no, f"undeclared node {parts[1]!r}")
-            frame = frames.get(parts[2])
-            if frame is None:
-                if not parts[2].isascii():
-                    raise ScenarioSyntaxError(line_no, "bad frame: non-ASCII input")
-                try:
-                    frame = parse_serial_line(parts[2].encode("ascii"))
-                except SerialParseError as exc:
-                    raise ScenarioSyntaxError(line_no, f"bad frame: {exc}") from None
-                frames[parts[2]] = frame
-            schedule.append(ScheduleEntry(time_us, parts[1], frame))
+            # An event line whose time is not ASCII digits.
+            raise ScenarioSyntaxError(line_no, f"bad time {head!r}")
 
     if bitrate is None:
         raise ScenarioSyntaxError(0, "missing bitrate=")

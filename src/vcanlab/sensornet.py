@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
+from . import codec
 from .bus import Bus, BusConfig, ScheduleEntry
 from .frame import MAX_STANDARD_ID, Frame, FrameId, ValidatedTuple
 # Enum members bound once, as frame.py explains.
@@ -95,6 +97,11 @@ class MonitorVerdict(NamedTuple):
     delta_c: float
 
 
+# MonitorVerdict's generated __new__ is a Python function; the monitor passes
+# both fields and builds its verdicts with the tuple constructor directly.
+_new_verdict = tuple.__new__
+
+
 def adc_sample(true_temp_c: float, cfg: SensorConfig) -> int:
     """Quantize a temperature to a 10-bit code, round half up, clamped."""
     lsb = cfg.span_c / ADC_MAX
@@ -131,6 +138,10 @@ def build_reading_frame(cfg: SensorConfig, reading: SensorReading) -> Frame:
     return Frame(cfg.frame_id, _DATA, 4, payload)
 
 
+# Readings repeat, and equal frames decode to equal readings, so the monitor's
+# decode is memoized as the text codec is (:data:`codec.TEXT_CACHE_SIZE`
+# distinct frames). Errors are not cached: a bad frame raises on every call.
+@lru_cache(maxsize=codec.TEXT_CACHE_SIZE)
 def parse_reading_frame(frame: Frame) -> SensorReading:
     if frame.kind is not _DATA or frame.dlc != 4:
         raise ValueError("not a sensor reading frame")
@@ -143,7 +154,7 @@ def monitor_evaluate(reading_c: float, setpoint_c: float,
     if tolerance_c <= 0:
         raise ValueError("tolerance must be positive")
     delta = reading_c - setpoint_c
-    return MonitorVerdict(abs(delta) <= tolerance_c, delta)
+    return _new_verdict(MonitorVerdict, (abs(delta) <= tolerance_c, delta))
 
 
 def run_table_experiment(cfg: SensorConfig, setpoints: Sequence[float] = DEFAULT_SETPOINTS_C

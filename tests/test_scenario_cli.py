@@ -133,8 +133,40 @@ class TestParseScenario:
         assert main(["simulate", str(path)]) == 2
 
     def test_nan_distance_rejected(self):
-        with pytest.raises(RateRangeError):
+        # ``nan`` is no text ``repr`` writes for a valid distance, so it is
+        # refused at its line; ``validate_bus_config`` also refuses NaN.
+        with pytest.raises(ScenarioSyntaxError) as exc:
             parse_scenario(GOOD.replace("distance_m=40", "distance_m=nan"))
+        assert exc.value.line_no == 2
+        with pytest.raises(RateRangeError):
+            validate_bus_config(1_000_000, float("nan"))
+
+    # ``float`` takes all but "1e" and "0x10"; a scenario's distance is the
+    # text ``repr`` writes for a valid one. Among these an Arabic-Indic 3, an
+    # Arabic-Indic 0 and a fullwidth 40.
+    @pytest.mark.parametrize("value", ["4_0", "\u0663", "+1e1", "inf", "-inf", "infinity",
+                                       "-5", "1E3", ".5", "5.", "1e", "0x10",
+                                       "4\u0660", "\uff14\uff10"])
+    def test_distance_takes_repr_text_only(self, value, tmp_path, capsys):
+        text = GOOD.replace("distance_m=40", f"distance_m={value}")
+        with pytest.raises(ScenarioSyntaxError, match="^line 2: bad distance_m ") as exc:
+            parse_scenario(text)
+        assert exc.value.line_no == 2
+        path = tmp_path / "s.scn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["40", "40.0", "0.5", "1e-05", "1.5e-07", "50"])
+    def test_distance_reads_repr_text(self, value):
+        text = GOOD.replace("distance_m=40", f"distance_m={value}")
+        assert parse_scenario(text).distance_m == float(value)
+
+    def test_distance_past_the_bound_is_read_then_refused(self):
+        # ``1e+16`` is valid text, so the rate-distance bound refuses it.
+        with pytest.raises(RateDistanceError):
+            parse_scenario(GOOD.replace("distance_m=40", "distance_m=1e+16"))
 
     def test_negative_run_bits_rejected(self):
         with pytest.raises(ScenarioSyntaxError) as exc:
@@ -213,6 +245,66 @@ class TestFrameFields:
         path.write_bytes(b"bitrate=500000\ndistance_m=40\nnode a\n0 a " + field + b"\n")
         assert main(["simulate", str(path)]) == 2
         assert "line 4" in capsys.readouterr().err
+
+
+class TestEventLines:
+    """The loader tries the event-line shape first; each line's error text
+    and line number are pinned as the header-first loader gave them."""
+
+    @pytest.mark.parametrize("line, error, message", [
+        ("+5 a t1230", ScenarioSyntaxError, "line 6: bad time '+5'"),
+        ("-5 a t1230", ScenarioSyntaxError, "line 6: bad time '-5'"),
+        ("1_0 a t1230", ScenarioSyntaxError, "line 6: bad time '1_0'"),
+        ("\u0663 a t1230", ScenarioSyntaxError, "line 6: bad time '\u0663'"),
+        ("5 a", ScenarioSyntaxError,
+         "line 6: expected '<time_us> <node> <frame>', got '5 a'"),
+        ("5 a t1230 x", ScenarioSyntaxError,
+         "line 6: expected '<time_us> <node> <frame>', got '5 a t1230 x'"),
+        ("  5 a t1230\t# note  ", ScenarioSyntaxError,
+         "line 6: expected '<time_us> <node> <frame>', got '5 a t1230\\t# note'"),
+        ("5", ScenarioSyntaxError,
+         "line 6: expected '<time_us> <node> <frame>', got '5'"),
+        ("5 ghost t1230", UnknownNodeError, "line 6: undeclared node 'ghost'"),
+        ("5 a t12Z0", ScenarioSyntaxError,
+         "line 6: bad frame: bad hex in identifier: '12Z'"),
+        ("5 a t1001\u00e9", ScenarioSyntaxError, "line 6: bad frame: non-ASCII input"),
+    ])
+    def test_malformed_event_line(self, line, error, message):
+        with pytest.raises(ScenarioSyntaxError) as exc:
+            parse_scenario(GOOD + line + "\n" + "7 a t1230\n")
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert exc.value.line_no == 6
+
+    @pytest.mark.parametrize("line", ["   # 5 a t1230", "#5 a t1230", " \t ", ""])
+    def test_comment_and_blank_lines_are_skipped(self, line):
+        assert parse_scenario(GOOD + line + "\n") == parse_scenario(GOOD)
+
+    def test_tab_separated_fields(self):
+        tabs = parse_scenario(GOOD + "5\ta\tt1230\n\t9 \tb  t1000\t\n")
+        assert tabs == parse_scenario(GOOD + "5 a t1230\n9 b t1000\n")
+        assert tabs.schedule[1:] == [ScheduleEntry(5, "a", data_frame(0x123, b"")),
+                                     ScheduleEntry(9, "b", data_frame(0x100, b""))]
+
+    @given(st.permutations(["bitrate=500000", "distance_m=40.5", "run_bits=9000",
+                            "allow_slow=no"]),
+           st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["a", "b"]),
+                              st.sampled_from(FIELDS)), max_size=20),
+           st.lists(st.sampled_from(["", "# c", "  # 1 a t1230", "\t"]), max_size=4),
+           st.sampled_from([" ", "\t", "  "]), st.booleans())
+    def test_well_formed_scenarios_parse_alike(self, headers, events, fillers, sep,
+                                               indent):
+        # Header order, comments, blank lines, indentation and the field
+        # separator change nothing.
+        lines = headers + ["node a", "node b filter=100/700"] + fillers
+        lines += [sep.join((str(t), node, field)) for t, node, field in events]
+        text = "\n".join(("  " + line if indent else line) for line in lines) + "\n"
+        expected = Scenario(
+            500_000, 40.5, [("a", None), ("b", AcceptanceFilter(0x100, 0x700))],
+            sorted((ScheduleEntry(t, node, parse_serial_line(field.encode("ascii")))
+                    for t, node, field in events), key=lambda e: e.time_us),
+            allow_slow=False, run_bits=9000)
+        assert parse_scenario(text) == expected
 
 
 class TestTraceFormat:

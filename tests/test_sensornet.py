@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from vcanlab.sensornet import (DEFAULT_SETPOINTS_C, MAX_CHANNEL, OutOfRangeError,
-                               SensorConfig, SensorReading, adc_sample,
-                               build_reading_frame, decode_reading,
-                               monitor_evaluate, parse_reading_frame,
-                               run_table_experiment, sample_reading,
-                               setpoint_from_switches)
+from vcanlab import codec
+from vcanlab.frame import Frame, FrameId, FrameKind, data_frame, remote_frame
+from vcanlab.sensornet import (ADC_MAX, DEFAULT_SETPOINTS_C, MAX_CHANNEL,
+                               MonitorVerdict, OutOfRangeError, SensorConfig,
+                               SensorReading, adc_sample, build_reading_frame,
+                               decode_reading, monitor_evaluate,
+                               parse_reading_frame, run_table_experiment,
+                               sample_reading, setpoint_from_switches)
 
 CFG = SensorConfig()  # 0..40 C reference range
 
@@ -108,6 +111,62 @@ class TestReadingFrames:
         # True once gave reading id 0x101, and 1.5 an id the codec cannot lay out.
         with pytest.raises(TypeError, match="^channel must be an integer, got "):
             SensorConfig(channel=channel)
+
+
+@st.composite
+def sensor_configs(draw):
+    low = draw(st.floats(-100.0, 100.0))
+    span = draw(st.floats(0.5, 200.0))
+    return SensorConfig(range_min_c=low, range_max_c=low + span,
+                        channel=draw(st.integers(0, MAX_CHANNEL)))
+
+
+class TestMonitorDecode:
+    """The monitor's decode is memoized; each call must give what the
+    uncached function gives, and errors must not be cached."""
+
+    @given(sensor_configs())
+    def test_every_adc_code_round_trips(self, cfg):
+        for code in range(ADC_MAX + 1):
+            reading = SensorReading(code, decode_reading(code, cfg))
+            frame = build_reading_frame(cfg, reading)
+            for _ in range(2):
+                got = parse_reading_frame(frame)
+                assert got == reading
+                assert type(got) is SensorReading
+            assert parse_reading_frame.__wrapped__(frame) == reading
+
+    @given(st.integers(0, MAX_CHANNEL), st.integers(0, 8))
+    def test_bad_frames_raise_on_every_call(self, channel, dlc):
+        ident = FrameId.standard(0x100 + channel)
+        bad = [remote_frame(ident.value, dlc), Frame(ident, FrameKind.DATA, 3, bytes(3)),
+               # A code past 10 bits fails in SensorReading, after the unpack.
+               data_frame(ident.value, bytes([0xFF, 0xFF, 0, 0]))]
+        if dlc != 4:
+            bad.append(data_frame(ident.value, bytes(dlc)))
+        for frame in bad:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    parse_reading_frame(frame)
+
+    def test_memo_size_is_the_text_memo_size(self):
+        assert parse_reading_frame.cache_info().maxsize == codec.TEXT_CACHE_SIZE
+
+    @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0),
+           st.floats(0.001, 100.0))
+    def test_verdict_type_and_fields(self, reading_c, setpoint_c, tolerance_c):
+        verdict = monitor_evaluate(reading_c, setpoint_c, tolerance_c)
+        assert type(verdict) is MonitorVerdict
+        delta = reading_c - setpoint_c
+        assert verdict == MonitorVerdict(abs(delta) <= tolerance_c, delta)
+        assert verdict._asdict() == {"in_range": abs(delta) <= tolerance_c,
+                                     "delta_c": delta}
+        assert type(verdict.in_range) is bool
+
+    def test_verdict_refuses_a_non_positive_tolerance(self):
+        for tolerance_c in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^tolerance must be positive$"):
+                monitor_evaluate(20.0, 20.0, tolerance_c)
 
 
 class TestMonitor:
