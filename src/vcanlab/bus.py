@@ -70,7 +70,7 @@ def validate_bus_config(bitrate_bps: int, distance_m: float,
     operation down to 5 kbps over 10 km); the product rule applies regardless.
     The bitrate must be an integer: arrival bits and event times follow its type.
     """
-    if not isinstance(bitrate_bps, int):
+    if type(bitrate_bps) is not int:
         raise TypeError(f"bitrate must be an integer, got {bitrate_bps!r}")
     if not (bitrate_bps > 0 and distance_m > 0):  # also rejects NaN
         raise RateRangeError("bitrate and distance must be positive")
@@ -132,7 +132,7 @@ class ScheduleEntry(ValidatedTuple, _ScheduleEntryFields):
     __slots__ = ()
 
     def __new__(cls, time_us: int, node: str, frame: Frame) -> "ScheduleEntry":
-        if not isinstance(time_us, int):
+        if type(time_us) is not int:
             raise TypeError(f"schedule time must be an integer, got {time_us!r}")
         if time_us < 0:
             raise ValueError("schedule times must be non-negative")
@@ -212,8 +212,10 @@ class Bus:
 
     def inject_fault(self, at_bit: int, level: int) -> None:
         """Override the resolved bus level at one bit time not yet simulated."""
-        if not isinstance(at_bit, int):
+        if type(at_bit) is not int:
             raise TypeError(f"fault bit must be an integer, got {at_bit!r}")
+        if type(level) is not int:
+            raise TypeError(f"fault level must be an integer, got {level!r}")
         if level not in _BUS_LEVELS:
             raise ValueError(
                 f"fault level must be {DOMINANT} or {RECESSIVE}, got {level!r}")
@@ -353,7 +355,7 @@ class Bus:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            if not isinstance(until_bits, int):
+            if type(until_bits) is not int:
                 raise TypeError(f"horizon must be an integer, got {until_bits!r}")
             if until_bits < self._t:
                 raise ValueError(
@@ -412,11 +414,11 @@ class Bus:
             active = [n.queue[0] for n in self._order if n.queue and n not in off]
             if active:
                 time_s = self._stamp(t)
-                self._events += [_new_event(TraceEvent, (
-                    t, time_s, entry.node.name, _START_KIND[entry.attempted], entry.frame))
-                    for entry in active]
+                events = self._events
                 plans = self._plans
                 for entry in active:
+                    events.append(_new_event(TraceEvent, (
+                        t, time_s, entry.node.name, _START_KIND[entry.attempted], entry.frame)))
                     entry.attempted = True
                     if entry.enc is None:
                         plan = plans.get(entry.frame)
@@ -424,14 +426,6 @@ class Bus:
                             plan = plans[entry.frame] = codec.wire_plan(entry.frame)
                         entry.enc = plan
                 self._missed.clear()
-                if len(active) == 1 and self._SKIP and not off:
-                    end = t + active[0].enc.total_len
-                    bits = self._fault_bits
-                    if (end <= until_bits
-                            and (not bits or bisect.bisect_left(bits, t)
-                                 == bisect.bisect_left(bits, end))
-                            and self._acked(active)):
-                        return self._send_lone(active[0], end, until_bits)
                 self._active = active
                 self._k = 0
         if active:
@@ -463,7 +457,7 @@ class Bus:
             pending = self._pending
             if pending and pending[0][0] < self._free and not self._bus_off:
                 self._pop_arrivals(min(self._free, until_bits) - 1)
-            nxt = min(until_bits, pending[0][0]) if pending else until_bits
+            nxt = pending[0][0] if pending and pending[0][0] < until_bits else until_bits
             if nxt > self._free > t and self._queued():
                 nxt = self._free
         if self._bus_off:
@@ -479,48 +473,6 @@ class Bus:
                 self._emit_faults(faults)
         self._t = nxt
 
-    def _send_lone(self, entry: QueuedFrame, end: int, until_bits: int) -> None:
-        """Send the lone frame of ``entry`` from the SOF just started through
-        its last bit, ``end - 1``, deliver it and jump its intermission.
-
-        This is what :meth:`_skip`, :meth:`_deliver` and :meth:`_idle` do for
-        a slot with one transmitter, no node bus-off, no fault before ``end``,
-        another error-active node to ACK and the horizon at ``end`` or later,
-        done in one pass. No node enters or leaves bus-off in such a slot, so
-        no arrival is refused and the arrivals up to the intermission's end
-        (short of the horizon) are queued first. The sender is the only node
-        that does not receive the frame, and only a sender at tec > 0 and
-        receivers at rec > 0 need a counter update.
-        """
-        pending = self._pending
-        last = min(end + INTERMISSION_BITS, until_bits) - 1
-        if pending and pending[0][0] <= last:
-            self._pop_arrivals(last)
-        node = entry.node
-        node.queue.remove(entry)
-        state = node.state
-        if state.tec:
-            node.state = update_counters(state, _TX_SUCCESS)
-        node.delivered += 1
-        owing = self._rx_owing
-        if owing:
-            for n in [n for n in owing if n is not node]:
-                state = n.state = update_counters(n.state, _RX_SUCCESS)
-                if not state.rec:
-                    del owing[n]
-        frame = entry.frame
-        frame_id = frame.id
-        for n in self._order:
-            if n is not node and (n.filter is None or accepts(n.filter, frame_id)):
-                n.received.append(frame)
-        deliver_t = self._free = end + INTERMISSION_BITS
-        self._events.append(_new_event(TraceEvent, (
-            deliver_t, self._stamp(deliver_t), node.name, _FRAME_DELIVERED, frame)))
-        if end < until_bits:
-            self._idle(end, until_bits)
-        else:
-            self._t = end
-
     def _end_slot(self, t: int) -> None:
         self._active = []
         self._t = t + 1
@@ -528,7 +480,8 @@ class Bus:
 
     def _skip(self, t: int, until_bits: int) -> bool:
         """Skip ahead through the lone frame in progress, whose bit ``t`` is
-        next, and return whether that ended the step.
+        next, and return whether that ended the step. The step that starts a
+        slot with one transmitter comes here from the frame's SOF.
 
         Only a bus-off node's recovery can change a mode inside the frame, and
         the skip ends with that. The skip covers bits k .. stop - 1. It passes
@@ -547,14 +500,14 @@ class Bus:
         end = plan.total_len
         ack = plan.ack_idx
         stop = end if k > ack or self._acked(active) else ack
-        stop = min(stop, k + until_bits - t)
-        faults = self._faults_in(t, t + stop - k)
+        stop = stop if stop - k <= until_bits - t else k + until_bits - t
+        faults = self._faults_in(t, t + stop - k) if self._fault_bits else ()
         # An ACK slot inside the stretch is another node's ACK: dominant.
-        for i, bit in enumerate(faults):
+        for bit in faults:
             j = k + bit - t
             if self._faults[bit] != (DOMINANT if j == ack else plan.stream[j]):
                 stop = j
-                del faults[i:]
+                del faults[faults.index(bit):]
                 break
         if stop == k:
             return False
@@ -571,26 +524,26 @@ class Bus:
         elif faults:
             self._emit_faults(faults)
         t += stop - k
-        self._k = stop
-        self._t = t
+        # The arrivals are queued up to ``t``, or to the run's last bit. A
+        # delivery moves no node into or out of bus-off, which alone decides
+        # whether an arrival is queued, so those at ``t`` may go before it.
+        more = t < until_bits
+        last = t if more else t - 1
+        pending = self._pending
+        if pending and pending[0][0] <= last:
+            self._pop_arrivals(last)
         if stop == end:
-            # A delivery moves no node into or out of bus-off, which alone
-            # decides whether an arrival is queued, so the arrivals at ``t``
-            # may be queued before it. Unless the run ends with the frame,
-            # the step then does the next step's work but its slot start: no
-            # frame starts in the intermission.
-            more = t < until_bits
-            self._pop_arrivals(t if more else t - 1)
+            # Unless the run ends with the frame, the step then does the next
+            # step's work but its slot start: no frame starts in the
+            # intermission.
             self._deliver(active, t - 1)
             if more:
                 self._idle(t, until_bits)
             return True
         # The skip ends the run at its last bit, or the step goes on at ``t``.
-        if t == until_bits:
-            self._pop_arrivals(t - 1)
-            return True
-        self._pop_arrivals(t)
-        return False
+        self._k = stop
+        self._t = t
+        return not more
 
     def _tx_bit(self, t: int, until_bits: int) -> None:
         active = self._active
@@ -667,10 +620,12 @@ class Bus:
         """End the slot at the frame's last EOF bit ``t``: each transmitter's
         queue head is sent, and each accepting node that is not a transmitter
         and was on the bus at every bit from SOF receives the frame once."""
-        deliver_t = t + 1 + INTERMISSION_BITS
+        deliver_t = self._free = t + 1 + INTERMISSION_BITS
+        time_s = self._stamp(deliver_t)
+        events = self._events
         # Neither a transmit nor a receive success sends a node bus-off, so
         # one collection names every node that does not receive.
-        skip = {entry.node for entry in still} | self._bus_off | self._missed
+        skip = self._bus_off | self._missed
         # A success at a zero counter changes nothing, so only a transmitter
         # with tec > 0 and a receiver with rec > 0 need the update.
         for entry in still:
@@ -679,6 +634,9 @@ class Bus:
             if node.state.tec:
                 self._apply_counter(node, _TX_SUCCESS, t)
             node.delivered += 1
+            skip.add(node)
+            events.append(_new_event(TraceEvent, (
+                deliver_t, time_s, node.name, _FRAME_DELIVERED, entry.frame)))
         if self._rx_owing:
             for n in [n for n in self._rx_owing if n not in skip]:
                 self._apply_counter(n, _RX_SUCCESS, t)
@@ -687,9 +645,8 @@ class Bus:
         for n in self._order:
             if n not in skip and (n.filter is None or accepts(n.filter, frame_id)):
                 n.received.append(frame)
-        for entry in still:
-            self._emit(_FRAME_DELIVERED, entry.node.name, entry.frame, deliver_t)
-        self._end_slot(t)
+        self._active = []
+        self._t = t + 1
 
     # -- convenience -----------------------------------------------------
 

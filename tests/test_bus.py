@@ -53,8 +53,9 @@ class TestConfigValidation:
 
     def test_bitrate_must_be_an_integer(self):
         # A float bitrate made arrival bits, event times and ``now`` floats.
-        # The type is checked before the range: 2e6 and NaN are out of range.
-        for bitrate in (500_000.0, 2_000_000.0, float("nan")):
+        # The type is checked before the range: 2e6, NaN and True (1) are out
+        # of range.
+        for bitrate in (500_000.0, 2_000_000.0, float("nan"), True):
             with pytest.raises(TypeError):
                 validate_bus_config(bitrate, 40)
             with pytest.raises(TypeError):
@@ -271,10 +272,11 @@ class TestRun:
         bus.attach_node("a")
         bus.attach_node("b")
         frame = data_frame(0x100, b"")
-        for time_us in (2.5, 3.0, "3"):
+        # True would render as a time that no scenario parses.
+        for time_us in (2.5, 3.0, "3", True):
             with pytest.raises(TypeError):
                 ScheduleEntry(time_us, "a", frame)
-        for horizon in (50.5, 100.0):
+        for horizon in (50.5, 100.0, True):
             with pytest.raises(TypeError):
                 bus.run([ScheduleEntry(0, "a", frame)], horizon)
         # A refused call changes nothing: no bit is simulated and its
@@ -400,8 +402,24 @@ class TestFaultInjection:
         for level in (2, -1):
             with pytest.raises(ValueError):
                 bus.inject_fault(10, level)
+        # A level equal to 0 or 1 that is not an int is refused by its type.
+        for level in (0.0, 1.0, True):
+            with pytest.raises(TypeError):
+                bus.inject_fault(10, level)
+        assert bus._faults == {}
         bus.inject_fault(10, RECESSIVE)
         assert bus._faults == {10: RECESSIVE}
+
+    def test_float_fault_level_is_refused_at_the_call(self):
+        # A float level would fail only in the run that credits it to a
+        # bus-off node's recovery, far from the call.
+        bus = Bus(BusConfig())
+        bus.attach_node("a").state = NodeState(tec=256, mode=NodeMode.BUS_OFF)
+        with pytest.raises(TypeError):
+            bus.inject_fault(10, 0.0)
+        assert bus._faults == {}
+        assert bus.run([], 100) == []
+        assert bus.now == 100
 
     def test_fault_bit_must_be_non_negative(self):
         bus = Bus(BusConfig())
@@ -413,7 +431,7 @@ class TestFaultInjection:
     def test_fault_bit_must_be_an_integer(self):
         bus = Bus(BusConfig())
         bus.attach_node("a")
-        for bit in (10.5, 10.0):
+        for bit in (10.5, 10.0, True):
             with pytest.raises(TypeError):
                 bus.inject_fault(bit, DOMINANT)
         assert bus._faults == {}

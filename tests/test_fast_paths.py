@@ -1024,25 +1024,26 @@ def test_a_sender_under_a_burst_takes_two_steps_per_error(steps):
     assert len(steps) <= 2 * len(errors)
 
 
-# The lone-frame lane: a slot that starts with one transmitter while no node
-# is bus-off, with no fault before the frame's end, another error-active node
-# to ACK and the horizon at or past its last bit, is sent, delivered and its
-# intermission jumped by the step that starts it (``Bus._send_lone``).
+# A slot that starts with one transmitter while no node is bus-off, with no
+# fault before the frame's end, another error-active node to ACK and the
+# horizon at or past its last bit, is sent, delivered and its intermission
+# jumped by the step that starts it: the slot start goes on into the skip.
 SOF = 7
+END = SOF + PLAN.total_len
 # Horizons from 3 bits before LONE's last bit to the end of its intermission.
-LANE_HORIZONS = range(SOF + PLAN.total_len - 4, SOF + PLAN.total_len + INTERMISSION_BITS + 1)
+LONE_HORIZONS = range(END - 4, END + INTERMISSION_BITS + 1)
 FAR = SOF + 4 * PLAN.total_len
 ACTIVE, PASSIVE_MODE = NodeMode.ERROR_ACTIVE, NodeMode.ERROR_PASSIVE
 
 
-def lane_run(tec, rec, during, gap, cuts):
+def lone_run(tec, rec, during, gap, cuts):
     """LONE from ``solo`` at bit ``SOF``, with ``solo`` at ``tec`` and the
     peer at ``rec`` (error-passive past ``ERROR_PASSIVE_LIMIT``), a monitor
     whose filter accepts it and a node whose filter refuses it. A frame
     arrives for the peer at bit ``during`` of LONE and one for the monitor
     at bit ``gap`` of its intermission. The run stops at each of ``cuts``
     and ends at ``FAR``. Returns the outcome, the status lines at each cut
-    and the bits at which the lane was taken."""
+    and the bits at which the steps that simulate LONE's last bit started."""
     bus = lone_bus()
     bus.nodes["solo"].state = NodeState(
         tec=tec, mode=PASSIVE_MODE if tec > ERROR_PASSIVE_LIMIT else ACTIVE)
@@ -1052,41 +1053,44 @@ def lane_run(tec, rec, during, gap, cuts):
     bus.attach_node("deaf", AcceptanceFilter(0x200, 0x7FF))
     schedule = [ScheduleEntry(SOF, "solo", LONE),
                 ScheduleEntry(SOF + during, "peer", data_frame(0x300, b"\x01")),
-                ScheduleEntry(SOF + PLAN.total_len + gap, "monitor", SHORT)]
+                ScheduleEntry(END + gap, "monitor", SHORT)]
     taken = []
-    send_lone = Bus._send_lone
+    step = Bus._step
 
-    def counted(bus, entry, end, until_bits):
-        taken.append(bus.now)
-        return send_lone(bus, entry, end, until_bits)
+    def probed(bus, until_bits):
+        start = bus.now
+        step(bus, until_bits)
+        if start < END <= bus.now:
+            taken.append(start)
 
-    Bus._send_lone = counted
+    Bus._step = probed
     try:
         trace, status = [], []
         for i, until in enumerate(sorted({*cuts, FAR})):
             trace += bus.run([] if i else schedule, until)
             status.append(bus.status_lines())
     finally:
-        Bus._send_lone = send_lone
+        Bus._step = step
     return outcome(bus, trace), status[:-1], taken
 
 
-@pytest.mark.parametrize("until", LANE_HORIZONS)
+@pytest.mark.parametrize("until", LONE_HORIZONS)
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([1, 9, ERROR_PASSIVE_LIMIT + 60]),
        st.sampled_from([1, 5, ERROR_PASSIVE_LIMIT + 3]),
        st.integers(1, PLAN.total_len - 1), st.integers(0, INTERMISSION_BITS - 1),
        st.integers(0, FAR))
-def test_lone_frame_lane_meets_the_horizon(until, tec, rec, during, gap, split):
+def test_lone_frame_meets_the_horizon(until, tec, rec, during, gap, split):
     args = (tec, rec, during, gap)
-    got, at_cut, taken = with_skip(True, lane_run, *args, [until])
-    plain, plain_at_cut, never = with_skip(False, lane_run, *args, [until])
-    assert never == []
+    got, at_cut, taken = with_skip(True, lone_run, *args, [until])
+    plain, plain_at_cut, stepped = with_skip(False, lone_run, *args, [until])
+    assert SOF not in stepped
     assert (got, at_cut) == (plain, plain_at_cut)
-    assert got == with_skip(True, lane_run, *args, [])[0]
-    assert got == with_skip(True, lane_run, *args, [split])[0]
-    # LONE takes the lane when the first run reaches past its last bit.
-    assert (taken[:1] == [SOF]) is (until >= SOF + PLAN.total_len)
+    assert got == with_skip(True, lone_run, *args, [])[0]
+    assert got == with_skip(True, lone_run, *args, [split])[0]
+    # The step at LONE's SOF sends it whole when the first run reaches past
+    # its last bit.
+    assert (SOF in taken) is (until >= END)
     trace, status, received = got
     assert received[1:] == [[LONE, SHORT], [LONE], []]
     mode = "error-passive" if tec - 1 > ERROR_PASSIVE_LIMIT else "error-active"
