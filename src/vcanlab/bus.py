@@ -11,6 +11,7 @@ import bisect
 import enum
 import gc
 import heapq
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -69,9 +70,15 @@ def validate_bus_config(bitrate_bps: int, distance_m: float,
     Bitrates below 20 kbps are accepted only with ``allow_slow`` (long-haul
     operation down to 5 kbps over 10 km); the product rule applies regardless.
     The bitrate must be an integer: arrival bits and event times follow its type.
+    The distance must be an ``int`` or a ``float`` and ``allow_slow`` a
+    ``bool``; a ``bool`` distance is refused, though it is an ``int``.
     """
     if type(bitrate_bps) is not int:
         raise TypeError(f"bitrate must be an integer, got {bitrate_bps!r}")
+    if not isinstance(distance_m, (int, float)) or isinstance(distance_m, bool):
+        raise TypeError(f"distance must be an int or a float, got {distance_m!r}")
+    if type(allow_slow) is not bool:
+        raise TypeError(f"allow_slow must be a bool, got {allow_slow!r}")
     if not (bitrate_bps > 0 and distance_m > 0):  # also rejects NaN
         raise RateRangeError("bitrate and distance must be positive")
     if bitrate_bps > MAX_BITRATE_BPS:
@@ -110,6 +117,7 @@ class EventKind(enum.Enum):
 
 
 # Members read on every frame, bound once, as node.py explains.
+_ARBITRATION_LOST = EventKind.ARBITRATION_LOST
 _FRAME_DELIVERED = EventKind.FRAME_DELIVERED
 _FAULT_INJECTED = EventKind.FAULT_INJECTED
 
@@ -144,6 +152,7 @@ Schedule = Sequence[ScheduleEntry]
 # TraceEvent's generated __new__ is a Python function; the bus passes all
 # five fields and builds its events with the tuple constructor directly.
 _new_event = tuple.__new__
+_FIRST = operator.itemgetter(0)
 # A queue head's start event, by whether it was sent before (``attempted``).
 _START_KIND = (EventKind.TX_START, EventKind.RETRANSMIT)
 
@@ -429,8 +438,15 @@ class Bus:
                 self._active = active
                 self._k = 0
         if active:
-            if len(active) == 1 and self._SKIP and self._skip(t, until_bits):
-                return
+            if self._SKIP:
+                if len(active) > 1:
+                    if self._k or not self._arbitrate(t, until_bits):
+                        return self._tx_bit(t, until_bits)
+                    t = self._t
+                    if t == until_bits:
+                        return
+                if self._skip(t, until_bits):
+                    return
             return self._tx_bit(self._t, until_bits)
         self._idle(t, until_bits)
 
@@ -477,6 +493,66 @@ class Bus:
         self._active = []
         self._t = t + 1
         self._free = t + 1 + INTERMISSION_BITS
+
+    def _arbitrate(self, t: int, until_bits: int) -> bool:
+        """Settle the arbitration of the contended slot that starts at bit
+        ``t`` in one pass, and return whether it did.
+
+        A transmitter drives its frame's arbitration key after SOF, most
+        significant bit first, so a loser drops out at the first key bit in
+        which it differs from the one lowest key, the winner's. Up to that
+        bit the two sent the same levels, and so the same stuff bits: the
+        winner's plan maps the bit to its stuffed index. The losers'
+        ``ArbitrationLost`` events go out by drop bit, then in attach order,
+        as stepping gives. The pass refuses, leaving the slot to
+        :meth:`_tx_bit`, when the lowest key is tied (identical senders stay
+        on the wire together), a node is bus-off, a fault lies at a bit up to
+        the last drop, or the horizon does. Otherwise nothing but arrivals
+        happens before the last drop, so they are queued up to the bit
+        after it, where the winner goes on alone.
+        """
+        # A fault at SOF, the commonest under a burst, refuses before any work.
+        if self._bus_off or t in self._faults:
+            return False
+        active = self._active
+        keys = [entry.key[0] for entry in active]
+        win = min(keys)
+        if keys.count(win) > 1:
+            return False
+        # A key is left-aligned in 32 bits after SOF: its differing bit of
+        # highest order, at ``length - 1``, is unstuffed index 33 - length.
+        # By drop bit, the winner's 0 last; a stable sort, so the losers at
+        # one bit keep their attach order.
+        ranked = sorted(zip([(key ^ win).bit_length() for key in keys], active),
+                        key=_FIRST, reverse=True)
+        winner = ranked[-1][1]
+        after = winner.enc.stuff_after
+        u = 33 - ranked[-2][0]
+        last = t + u + bisect.bisect_left(after, u)
+        if last >= until_bits or self._fault_bits and self._faults_in(t, last + 1):
+            return False
+        events = self._events
+        drop = 0
+        for length, entry in ranked:
+            if length != drop:
+                if not length:
+                    break  # the winner
+                drop = length
+                u = 33 - length
+                bit = t + u + bisect.bisect_left(after, u)
+                time_s = self._stamp(bit)
+            events.append(_new_event(TraceEvent, (
+                bit, time_s, entry.node.name, _ARBITRATION_LOST, entry.frame)))
+        self._active = [winner]
+        self._k = last + 1 - t
+        self._t = t = last + 1
+        # The arrivals are queued up to ``t``, or to the run's last bit.
+        if t == until_bits:
+            t -= 1
+        pending = self._pending
+        if pending and pending[0][0] <= t:
+            self._pop_arrivals(t)
+        return True
 
     def _skip(self, t: int, until_bits: int) -> bool:
         """Skip ahead through the lone frame in progress, whose bit ``t`` is
@@ -576,7 +652,7 @@ class Bus:
             # before this bit ended there for all of them. Hence the losers at
             # one bit are all inside their arbitration field or all past it.
             if fault is None and k <= active[driven.index(RECESSIVE)].enc.arb_end:
-                kind = EventKind.ARBITRATION_LOST
+                kind = _ARBITRATION_LOST
             else:
                 kind = EventKind.ERROR_FRAME
                 error = True

@@ -180,18 +180,21 @@ class WirePlan:
     """Stuffed wire layout of one frame, as the bus transmits it.
 
     ``stream`` holds the levels (0 or 1) from SOF through the last EOF bit.
-    ``arb_end`` is the stuffed index of the last arbitration-field bit,
-    ``region_len`` the stuffed length of SOF through the last CRC bit and
-    ``ack_idx`` the index of the ACK slot.
+    ``stuff_after`` holds the unstuffed index after which each stuff bit
+    goes, in order, so unstuffed bit ``u`` is at stuffed index
+    ``u + bisect_left(stuff_after, u)``. ``arb_end`` is the stuffed index
+    of the last arbitration-field bit, ``region_len`` the stuffed length of
+    SOF through the last CRC bit and ``ack_idx`` the index of the ACK slot.
     """
 
-    __slots__ = ("stream", "crc", "stuff_count", "arb_end", "region_len",
-                 "total_len", "ack_idx")
+    __slots__ = ("stream", "crc", "stuff_after", "stuff_count", "arb_end",
+                 "region_len", "total_len", "ack_idx")
 
-    def __init__(self, stream: bytes, crc: int, stuff_count: int, arb_end: int):
+    def __init__(self, stream: bytes, crc: int, stuff_after: List[int], arb_end: int):
         self.stream = stream
         self.crc = crc
-        self.stuff_count = stuff_count
+        self.stuff_after = stuff_after
+        self.stuff_count = len(stuff_after)
         self.arb_end = arb_end
         self.total_len = len(stream)
         self.region_len = self.total_len - TAIL_BITS
@@ -281,7 +284,7 @@ def wire_plan(frame: Frame) -> WirePlan:
     crc = _crc15_int(body, body_len)
     # SOF through the last CRC bit, stuffed.
     region, after = _stuff_int(body << CRC_WIDTH | crc, body_len + CRC_WIDTH)
-    return WirePlan(region + _TAIL, crc, len(after), arb + bisect_left(after, arb))
+    return WirePlan(region + _TAIL, crc, after, arb + bisect_left(after, arb))
 
 
 def encode_frame(frame: Frame) -> EncodedFrame:

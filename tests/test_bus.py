@@ -68,6 +68,23 @@ class TestConfigValidation:
         assert type(trace[0].time_bits) is int and trace[0].time_bits == 2
         assert type(bus.now) is int and bus.now == 200
 
+    def test_distance_and_allow_slow_types(self):
+        # The type is checked before the range: True and False are ints, and
+        # any non-empty string is truthy.
+        for distance in (True, False, "40", None, 40j):
+            with pytest.raises(TypeError, match="distance"):
+                validate_bus_config(1_000_000, distance)
+            with pytest.raises(TypeError, match="distance"):
+                BusConfig(distance_m=distance)
+        for allow_slow in ("no", 0, 1, None):
+            with pytest.raises(TypeError, match="allow_slow"):
+                validate_bus_config(10_000, 10, allow_slow)
+            with pytest.raises(TypeError, match="allow_slow"):
+                BusConfig(bitrate_bps=10_000, distance_m=10, allow_slow=allow_slow)
+        # An int distance and a float one are both taken.
+        assert BusConfig(distance_m=40).distance_m == 40
+        assert BusConfig(bitrate_bps=10_000, distance_m=10.5, allow_slow=True).allow_slow
+
 
 class TestAttach:
     def test_110_nodes_ok_111th_rejected(self):

@@ -1,15 +1,17 @@
-"""The bus's two fast paths, the idle skip and the in-frame skip-ahead, must
-give exactly what stepping every bit gives. ``Bus._SKIP = False`` turns both
-off, so plain stepping is the reference here."""
+"""The bus's fast paths, the idle skip, the in-frame skip-ahead and the
+one-pass arbitration of a contended slot, must give exactly what stepping
+every bit gives. ``Bus._SKIP = False`` turns them all off, so plain stepping
+is the reference here."""
 
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from vcanlab.bus import INTERMISSION_BITS, Bus, BusConfig, EventKind, ScheduleEntry
 from vcanlab.codec import DOMINANT, RECESSIVE, TAIL_BITS, encode_frame, wire_plan
-from vcanlab.frame import data_frame, remote_frame
+from vcanlab.frame import FrameKind, arbitration_key, data_frame, remote_frame
 from vcanlab.gateway import GatewaySession, format_serial_line
 from vcanlab.node import (BUS_OFF_LIMIT, ERROR_PASSIVE_LIMIT, RECOVERY_GROUP_BITS,
                           RECOVERY_GROUPS, AcceptanceFilter, NodeMode, NodeState, accepts)
@@ -1095,3 +1097,239 @@ def test_lone_frame_meets_the_horizon(until, tec, rec, during, gap, split):
     assert received[1:] == [[LONE, SHORT], [LONE], []]
     mode = "error-passive" if tec - 1 > ERROR_PASSIVE_LIMIT else "error-active"
     assert status[0] == f"solo mode={mode} tec={tec - 1} rec=0 queued=0 delivered=1"
+
+
+# -- one-pass arbitration -------------------------------------------------
+
+# Identifier bits to flip, so that ids drawn around one id share long
+# prefixes: none, a few low ones, or any single one.
+FLIPS = {width: st.just(0) | st.integers(0, 7) | st.sampled_from([1 << i for i in range(width)])
+         for width in (11, 18)}
+
+
+@st.composite
+def kin_frames(draw, top, low):
+    """A frame whose id is ``top`` (11 bits), or ``top`` then ``low`` (18
+    bits) as an extended id, each with a few bits flipped, so frames drawn
+    with one ``top`` and ``low`` share long arbitration prefixes: a standard
+    and an extended id with the same top 11 bits, and data and remote
+    frames of one id."""
+    extended = draw(st.booleans())
+    id_value = top ^ draw(FLIPS[11])
+    if extended:
+        id_value = id_value << 18 | low ^ draw(FLIPS[18])
+    if draw(st.integers(0, 3)) == 0:
+        return remote_frame(id_value, draw(st.integers(0, 8)), extended)
+    return data_frame(id_value, draw(st.binary(max_size=8)), extended)
+
+
+KIN = st.tuples(st.integers(0, 0x7FF), st.integers(0, 0x3FFFF))
+
+
+def first_difference(a, b):
+    """The first stuffed index at which two frames' wire streams differ."""
+    return next(i for i, (x, y) in enumerate(zip(wire_plan(a).stream, wire_plan(b).stream))
+                if x != y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(KIN, st.data())
+def test_drop_bit_is_the_first_differing_wire_bit(kin, data):
+    # The one-pass arbitration places a loser's drop at unstuffed index
+    # 33 - (key ^ winner's key).bit_length(), stuffed by the winner's plan:
+    # that is the first bit at which the two frames' wire streams differ,
+    # the winner drives it dominant, and it lies in the loser's field.
+    a, b = data.draw(kin_frames(*kin)), data.draw(kin_frames(*kin))
+    assume(arbitration_key(a) != arbitration_key(b))
+    win, lose = sorted([a, b], key=arbitration_key)
+    plan, lost = wire_plan(win), wire_plan(lose)
+    u = 33 - (arbitration_key(win) ^ arbitration_key(lose)).bit_length()
+    drop = u + bisect_left(plan.stuff_after, u)
+    assert drop == first_difference(win, lose)
+    assert drop <= lost.arb_end
+    assert (plan.stream[drop], lost.stream[drop]) == (DOMINANT, RECESSIVE)
+
+
+def outranked(frame):
+    """A frame like ``frame`` with a higher arbitration key: a data frame's
+    remote frame, a standard remote frame's extended id with the same top
+    11 bits; an extended remote frame as it is."""
+    (value, extended), kind, dlc, _ = frame
+    if kind is not FrameKind.REMOTE:
+        return remote_frame(value, dlc, extended)
+    return remote_frame(value << 18, dlc, True) if not extended else frame
+
+
+@st.composite
+def contended_slots(draw):
+    """A scenario, in the form ``scenarios`` draws, of 2 to 110 nodes that
+    all send at one bit frames whose keys share long prefixes
+    (``kin_frames``), now and then a copy of a frame drawn before (identical
+    senders); mostly one lowest key. Returns it with the bit of the last
+    arbitration drop, taken from the wire streams (or 13 bits in, if the
+    lowest key is tied). Around that bit and inside the field before it
+    lie frames that arrive, faults and the horizon, which may also lie up
+    to a few frames past it. Nodes may be forced bus-off at a bit up to
+    there, or a few bits before the slot starts, mostly a few bits short of
+    recovery."""
+    n = draw(st.integers(2, 110))
+    nodes = [(f"n{i}", None) for i in range(n)]
+    start = draw(st.integers(0, 20))
+    kin = kin_frames(*draw(KIN))
+    sent = []
+    for _ in range(n):
+        sent.append(draw(st.sampled_from(sent)) if sent and draw(st.integers(0, 9)) == 0
+                    else draw(kin))
+    win = min(sent, key=arbitration_key)
+    low = arbitration_key(win)
+    if draw(st.integers(0, 3)):
+        # Senders after the first of the lowest key send a higher one.
+        first = sent.index(win)
+        sent = [outranked(frame) if i > first and arbitration_key(frame) == low else frame
+                for i, frame in enumerate(sent)]
+    losers = [frame for frame in sent if arbitration_key(frame) != low]
+    tied = len(losers) < n - 1
+    edge = start + (13 if tied or not losers else
+                    max(first_difference(win, frame) for frame in losers))
+    schedule = [ScheduleEntry(start, name, frame) for (name, _), frame in zip(nodes, sent)]
+    names = st.sampled_from([name for name, _ in nodes])
+    near = st.integers(edge - 1, edge + 2) | st.integers(start, edge)
+    schedule += draw(st.lists(st.builds(ScheduleEntry, near, names, kin), max_size=3))
+    faults = draw(st.lists(st.tuples(near, LEVELS), max_size=3))
+    horizon = draw(st.integers(max(start + 1, edge - 1), edge + 2)
+                   | st.integers(start + 1, start + 4 * LONGEST))
+    forced = []
+    if draw(st.integers(0, 2)) == 0:
+        short = st.tuples(st.just(RECOVERY_GROUPS - 1), st.integers(0, RECOVERY_GROUP_BITS - 1))
+        forced.append((draw(st.integers(max(0, start - 3), start)
+                            | st.integers(0, min(edge, horizon))),
+                       draw(st.lists(names, min_size=1, max_size=2, unique=True)),
+                       draw(short | PRESETS)))
+    return (nodes, schedule, horizon, faults, forced), edge
+
+
+@settings(max_examples=60, deadline=None, phases=WITHOUT_EXPLAIN)
+@given(contended_slots(), st.data())
+def test_contended_slot_matches_plain_stepping(slot, data):
+    scn, edge = slot
+    nodes, schedule, horizon, _, presets = scn
+    got = run_whole(scn, True)
+    assert got == run_whole(scn, False)
+    start = schedule[0].time_us
+    split = data.draw(st.integers(min(edge - 1, horizon), min(edge + 2, horizon))
+                      | st.integers(start, min(edge, horizon)))
+    split_got, calls = with_skip(True, run_scenario, scn, [split])
+    assert split_got == got
+    for until, events in calls:
+        assert all(e.time_bits < until for e in events
+                   if e.kind is not EventKind.FRAME_DELIVERED)
+    trace, status, received = got
+    assert received == received_by_trace(nodes, trace, presets)
+    assert bus_off_breaches(nodes, trace, presets, status) == []
+
+
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("late", [5, 12, 13])
+def test_arrival_inside_the_arbitration_field_precedes_bus_off(monkeypatch, skip, late):
+    # b drops out at bit 12, the last of the slot's arbitration. A recessive
+    # fault at bit 13, a's dominant RTR bit, is a bit error that sends the
+    # error-passive a bus-off; the frame that arrived for a inside the
+    # field, or at that bit, was queued before that, and stays queued.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus = Bus(BusConfig())
+    a = bus.attach_node("a")
+    bus.attach_node("b")
+    bus.attach_node("c")
+    a.state = NodeState(tec=250, mode=NodeMode.ERROR_PASSIVE)
+    bus.inject_fault(13, RECESSIVE)
+    first, lost, third = (data_frame(0x100, b"\x01"), data_frame(0x101, b"\x02"),
+                          data_frame(0x102, b"\x03"))
+    trace = bus.run([ScheduleEntry(0, "a", first), ScheduleEntry(0, "b", lost),
+                     ScheduleEntry(late, "a", third)], 200)
+    end = 17 + wire_plan(lost).total_len + INTERMISSION_BITS
+    assert [(e.time_bits, e.node, e.kind) for e in trace] == [
+        (0, "a", EventKind.TX_START), (0, "b", EventKind.TX_START),
+        (12, "b", EventKind.ARBITRATION_LOST), (13, None, EventKind.FAULT_INJECTED),
+        (13, "a", EventKind.ERROR_FRAME), (13, "a", EventKind.BUS_OFF_ENTERED),
+        (17, "b", EventKind.RETRANSMIT), (end, "b", EventKind.FRAME_DELIVERED)]
+    assert bus.status_lines() == [
+        "a mode=bus-off tec=258 rec=0 queued=2 delivered=0",
+        "b mode=error-active tec=0 rec=1 queued=0 delivered=1",
+        "c mode=error-active tec=0 rec=0 queued=0 delivered=0"]
+
+
+@pytest.mark.parametrize("skip", [True, False])
+def test_contended_slot_restarts_a_bus_off_count(monkeypatch, skip):
+    # A node bus-off one recessive bit short of recovery: the slot's SOF is
+    # dominant and restarts its count, though the bit after b's drop, a's
+    # RTR bit, is recessive. Its first 11 recessive bits are the ACK
+    # delimiter, EOF and intermission after a's acknowledged ACK slot.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    bus = Bus(BusConfig())
+    bus.attach_node("a")
+    bus.attach_node("b")
+    force_bus_off(bus.attach_node("ghost"), RECOVERY_GROUPS - 1, RECOVERY_GROUP_BITS - 1)
+    won, lost = remote_frame(0x100, 1), remote_frame(0x101, 1)
+    trace = bus.run([ScheduleEntry(0, "a", won), ScheduleEntry(0, "b", lost)], 100)
+    end = wire_plan(won).total_len + INTERMISSION_BITS
+    assert [(e.time_bits, e.node, e.kind) for e in trace][2:5] == [
+        (12, "b", EventKind.ARBITRATION_LOST), (end, "a", EventKind.FRAME_DELIVERED),
+        (end - 1, "ghost", EventKind.BUS_OFF_RECOVERED)]
+
+
+# Twelve frames of distinct keys around one id, the lowest last: standard
+# ids one bit apart, a remote frame of the winner's id and extended ids with
+# its top 11 bits, so the losers drop at many bits up to the extended ones'.
+TOP = 0x0A0
+CROWD = ([data_frame(TOP ^ flip, b"\x01") for flip in (1, 2, 4, 8, 0x400)]
+         + [remote_frame(TOP, 2)]
+         + [data_frame(TOP << 18 | low, b"", extended=True) for low in (0, 1, 0x20000)]
+         + [remote_frame(TOP << 18, 0, extended=True), remote_frame(TOP ^ 1, 1),
+            data_frame(TOP, b"\xff")])
+CROWD_END = wire_plan(CROWD[-1]).total_len + INTERMISSION_BITS
+LAST_DROP = max(first_difference(CROWD[-1], frame) for frame in CROWD[:-1])
+
+
+def crowd_run(cuts):
+    """CROWD sent from bit 0 by one node each, with a thirteenth node to
+    ACK; the run stops at each of ``cuts``, where the bus must stand with
+    no event at or past it but a delivery, and ends with the winner's
+    intermission."""
+    bus = Bus(BusConfig())
+    for i in range(len(CROWD)):
+        bus.attach_node(f"n{i}")
+    bus.attach_node("ack")
+    trace = []
+    for i, until in enumerate(sorted({*cuts, CROWD_END})):
+        events = bus.run([] if i else [ScheduleEntry(0, f"n{i}", frame)
+                                       for i, frame in enumerate(CROWD)], until)
+        assert bus.now == until
+        assert all(e.time_bits < until for e in events
+                   if e.kind is not EventKind.FRAME_DELIVERED)
+        trace += events
+    return outcome(bus, trace)
+
+
+def test_a_contended_slot_takes_one_step(steps):
+    # The step that starts the slot settles its arbitration, sends the
+    # winner whole, delivers it and jumps its intermission, as plain
+    # stepping gives.
+    plain = with_skip(False, crowd_run, [])
+    steps.clear()
+    got = crowd_run([])
+    assert got == plain
+    assert len(steps) == 1
+    assert min(CROWD, key=arbitration_key) is CROWD[-1]
+    assert [(e.node, e.kind) for e in got[0][-12:]] == [
+        ("n4", EventKind.ARBITRATION_LOST)] + [
+        (f"n{i}", EventKind.ARBITRATION_LOST) for i in (3, 2, 1, 0, 10, 5, 6, 7, 8, 9)] + [
+        ("n11", EventKind.FRAME_DELIVERED)]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+def test_horizon_around_the_last_drop(offset):
+    # A run whose horizon is at the last drop bit or before it steps the
+    # field; one that reaches past it settles the field at once. Either
+    # way the bus stands at the horizon and gives what stepping gives.
+    cut = LAST_DROP + offset
+    assert crowd_run([cut]) == with_skip(False, crowd_run, [cut]) == crowd_run([])

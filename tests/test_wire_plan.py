@@ -1,6 +1,7 @@
 """wire_plan against the bit-serial list codec, and the bus's plan table."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,8 @@ def check_against_reference(frame):
     assert list(plan.stream) == stream
     assert plan.crc == crc
     assert plan.stuff_count == len(stuffed) - len(region)
+    # Each region bit's stuffed index, from the stuff bits placed before it.
+    assert [u + bisect_left(plan.stuff_after, u) for u in range(len(region))] == positions
     assert plan.region_len == len(stuffed)
     assert plan.total_len == len(stream)
     assert plan.ack_idx == len(stuffed) + 1
