@@ -438,15 +438,8 @@ class Bus:
                 self._active = active
                 self._k = 0
         if active:
-            if self._SKIP:
-                if len(active) > 1:
-                    if self._k or not self._arbitrate(t, until_bits):
-                        return self._tx_bit(t, until_bits)
-                    t = self._t
-                    if t == until_bits:
-                        return
-                if self._skip(t, until_bits):
-                    return
+            if self._SKIP and self._skip(t, until_bits):
+                return
             return self._tx_bit(self._t, until_bits)
         self._idle(t, until_bits)
 
@@ -494,99 +487,97 @@ class Bus:
         self._t = t + 1
         self._free = t + 1 + INTERMISSION_BITS
 
-    def _arbitrate(self, t: int, until_bits: int) -> bool:
-        """Settle the arbitration of the contended slot that starts at bit
-        ``t`` in one pass, and return whether it did.
+    def _skip(self, t: int, until_bits: int) -> bool:
+        """Skip ahead through the slot in progress, whose bit ``t`` is next,
+        and return whether that ended the step. The step that starts a slot
+        comes here from its SOF.
 
         A transmitter drives its frame's arbitration key after SOF, most
         significant bit first, so a loser drops out at the first key bit in
-        which it differs from the one lowest key, the winner's. Up to that
-        bit the two sent the same levels, and so the same stuff bits: the
-        winner's plan maps the bit to its stuffed index. The losers'
-        ``ArbitrationLost`` events go out by drop bit, then in attach order,
-        as stepping gives. The pass refuses, leaving the slot to
-        :meth:`_tx_bit`, when the lowest key is tied (identical senders stay
-        on the wire together), a node is bus-off, a fault lies at a bit up to
-        the last drop, or the horizon does. Otherwise nothing but arrivals
-        happens before the last drop, so they are queued up to the bit
-        after it, where the winner goes on alone.
-        """
-        # A fault at SOF, the commonest under a burst, refuses before any work.
-        if self._bus_off or t in self._faults:
-            return False
-        active = self._active
-        keys = [entry.key[0] for entry in active]
-        win = min(keys)
-        if keys.count(win) > 1:
-            return False
-        # A key is left-aligned in 32 bits after SOF: its differing bit of
-        # highest order, at ``length - 1``, is unstuffed index 33 - length.
-        # By drop bit, the winner's 0 last; a stable sort, so the losers at
-        # one bit keep their attach order.
-        ranked = sorted(zip([(key ^ win).bit_length() for key in keys], active),
-                        key=_FIRST, reverse=True)
-        winner = ranked[-1][1]
-        after = winner.enc.stuff_after
-        u = 33 - ranked[-2][0]
-        last = t + u + bisect.bisect_left(after, u)
-        if last >= until_bits or self._fault_bits and self._faults_in(t, last + 1):
-            return False
-        events = self._events
-        drop = 0
-        for length, entry in ranked:
-            if length != drop:
-                if not length:
-                    break  # the winner
-                drop = length
-                u = 33 - length
-                bit = t + u + bisect.bisect_left(after, u)
-                time_s = self._stamp(bit)
-            events.append(_new_event(TraceEvent, (
-                bit, time_s, entry.node.name, _ARBITRATION_LOST, entry.frame)))
-        self._active = [winner]
-        self._k = last + 1 - t
-        self._t = t = last + 1
-        # The arrivals are queued up to ``t``, or to the run's last bit.
-        if t == until_bits:
-            t -= 1
-        pending = self._pending
-        if pending and pending[0][0] <= t:
-            self._pop_arrivals(t)
-        return True
-
-    def _skip(self, t: int, until_bits: int) -> bool:
-        """Skip ahead through the lone frame in progress, whose bit ``t`` is
-        next, and return whether that ended the step. The step that starts a
-        slot with one transmitter comes here from the frame's SOF.
+        which it differs from the lowest key. Up to that bit the two sent the
+        same levels, and so the same stuff bits: the plan of a survivor, a
+        transmitter of the lowest key, maps the bit to its stuffed index.
+        Survivors stay on the wire together, so they must send one stream.
+        With several transmitters the skip refuses, leaving bit ``t`` to
+        :meth:`_tx_bit`, while a node is bus-off, at a fault at ``t`` and on
+        a tie of different streams. The losers that drop out inside the
+        stretch get their ``ArbitrationLost`` events by drop bit, then in
+        attach order, as stepping gives; the others stay on the wire.
 
         Only a bus-off node's recovery can change a mode inside the frame, and
         the skip ends with that. The skip covers bits k .. stop - 1. It passes
-        each fault that shows the level the bus shows at its bit anyway: the
-        frame's own level, or dominant at an ACK slot another node
-        acknowledges. Such a fault changes only the trace, which gets its
-        ``FaultInjected`` event. The skip stops at the first other fault,
-        which is stepped, and at the horizon, so the ACK slot is decided by
-        the run that simulates it; and before the ACK slot unless another
-        node will ACK. Otherwise it runs through the last EOF bit, delivers
-        the frame and goes on through the intermission as :meth:`_idle`.
+        each fault past the last drop that shows the level the bus shows at
+        its bit anyway: the survivors' own level, or dominant at an ACK slot
+        another node acknowledges. Such a fault changes only the trace, which
+        gets its ``FaultInjected`` event. The skip stops at the first other
+        fault, which is stepped, and at the horizon, so the ACK slot is
+        decided by the run that simulates it; and before the ACK slot unless
+        another node will ACK. Otherwise it runs through the last EOF bit,
+        delivers the frame and goes on through the intermission as
+        :meth:`_idle`.
         """
-        active = self._active
-        plan = active[0].enc
+        active = survivors = self._active
         k = self._k
+        drop = -1  # the stuffed index of the last drop, if a loser is left
+        if len(active) > 1:
+            # A fault at bit t, the commonest under a burst, refuses before
+            # any work.
+            if self._bus_off or t in self._faults:
+                return False
+            keys = [entry.key[0] for entry in active]
+            win = min(keys)
+            # A key is left-aligned in 32 bits after SOF: its differing bit of
+            # highest order, at ``length - 1``, is unstuffed index 33 - length.
+            # By drop bit, the survivors' 0 last; a stable sort, so the losers
+            # at one bit keep their attach order.
+            lengths = [(key ^ win).bit_length() for key in keys]
+            ranked = sorted(zip(lengths, active), key=_FIRST, reverse=True)
+            tied = keys.count(win)
+            survivors = [entry for _, entry in ranked[-tied:]]
+            if tied > 1:
+                stream = survivors[0].enc.stream
+                for entry in survivors:
+                    if entry.enc.stream != stream:
+                        return False
+            if tied < len(active):
+                after = survivors[0].enc.stuff_after
+                u = 33 - ranked[-tied - 1][0]
+                drop = u + bisect.bisect_left(after, u)
+        plan = survivors[0].enc
         end = plan.total_len
         ack = plan.ack_idx
-        stop = end if k > ack or self._acked(active) else ack
+        stop = end if k > ack or self._acked(survivors) else ack
         stop = stop if stop - k <= until_bits - t else k + until_bits - t
         faults = self._faults_in(t, t + stop - k) if self._fault_bits else ()
-        # An ACK slot inside the stretch is another node's ACK: dominant.
+        # An ACK slot inside the stretch is another node's ACK: dominant. A
+        # fault up to the last drop is stepped: its event goes before the
+        # drops after it, and at a drop bit it may turn a loss into an error.
         for bit in faults:
             j = k + bit - t
-            if self._faults[bit] != (DOMINANT if j == ack else plan.stream[j]):
+            if j <= drop or self._faults[bit] != (DOMINANT if j == ack else plan.stream[j]):
                 stop = j
                 del faults[faults.index(bit):]
                 break
         if stop == k:
             return False
+        if drop >= 0:
+            events = self._events
+            seen = 0
+            for length, entry in ranked:
+                if length != seen:
+                    u = 33 - length
+                    j = u + bisect.bisect_left(after, u)
+                    if not length or j >= stop:
+                        break  # the survivors, or the losers past the stretch
+                    seen = length
+                    bit = t + j - k
+                    time_s = self._stamp(bit)
+                events.append(_new_event(TraceEvent, (
+                    bit, time_s, entry.node.name, _ARBITRATION_LOST, entry.frame)))
+            # Cut short inside the field, the contenders not yet out stay on
+            # the wire, in attach order.
+            if drop >= stop:
+                survivors = [entry for n, entry in zip(lengths, active) if n <= length]
         if self._bus_off:
             # A frame that arrives for a bus-off node is dropped, so no
             # recovery is credited before the arrivals up to its bit.
@@ -612,11 +603,12 @@ class Bus:
             # Unless the run ends with the frame, the step then does the next
             # step's work but its slot start: no frame starts in the
             # intermission.
-            self._deliver(active, t - 1)
+            self._deliver(survivors, t - 1)
             if more:
                 self._idle(t, until_bits)
             return True
         # The skip ends the run at its last bit, or the step goes on at ``t``.
+        self._active = survivors
         self._k = stop
         self._t = t
         return not more

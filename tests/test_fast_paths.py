@@ -1,5 +1,5 @@
-"""The bus's fast paths, the idle skip, the in-frame skip-ahead and the
-one-pass arbitration of a contended slot, must give exactly what stepping
+"""The bus's fast paths, the idle skip and the skip through a slot, which
+also settles a contended slot's arbitration, must give exactly what stepping
 every bit gives. ``Bus._SKIP = False`` turns them all off, so plain stepping
 is the reference here."""
 
@@ -1099,7 +1099,7 @@ def test_lone_frame_meets_the_horizon(until, tec, rec, during, gap, split):
     assert status[0] == f"solo mode={mode} tec={tec - 1} rec=0 queued=0 delivered=1"
 
 
-# -- one-pass arbitration -------------------------------------------------
+# -- contended slots -------------------------------------------------------
 
 # Identifier bits to flip, so that ids drawn around one id share long
 # prefixes: none, a few low ones, or any single one.
@@ -1135,7 +1135,7 @@ def first_difference(a, b):
 @settings(max_examples=300, deadline=None)
 @given(KIN, st.data())
 def test_drop_bit_is_the_first_differing_wire_bit(kin, data):
-    # The one-pass arbitration places a loser's drop at unstuffed index
+    # The skip places a loser's drop at unstuffed index
     # 33 - (key ^ winner's key).bit_length(), stuffed by the winner's plan:
     # that is the first bit at which the two frames' wire streams differ,
     # the winner drives it dominant, and it lies in the loser's field.
@@ -1290,15 +1290,12 @@ CROWD_END = wire_plan(CROWD[-1]).total_len + INTERMISSION_BITS
 LAST_DROP = max(first_difference(CROWD[-1], frame) for frame in CROWD[:-1])
 
 
-def crowd_run(cuts):
+def crowd_run(cuts, faults=()):
     """CROWD sent from bit 0 by one node each, with a thirteenth node to
-    ACK; the run stops at each of ``cuts``, where the bus must stand with
-    no event at or past it but a delivery, and ends with the winner's
-    intermission."""
-    bus = Bus(BusConfig())
-    for i in range(len(CROWD)):
-        bus.attach_node(f"n{i}")
-    bus.attach_node("ack")
+    ACK and the ``(bit, level)`` faults; the run stops at each of ``cuts``,
+    where the bus must stand with no event at or past it but a delivery,
+    and ends with the winner's intermission."""
+    bus = build([(f"n{i}", None) for i in range(len(CROWD))] + [("ack", None)], faults)
     trace = []
     for i, until in enumerate(sorted({*cuts, CROWD_END})):
         events = bus.run([] if i else [ScheduleEntry(0, f"n{i}", frame)
@@ -1328,8 +1325,101 @@ def test_a_contended_slot_takes_one_step(steps):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
 def test_horizon_around_the_last_drop(offset):
-    # A run whose horizon is at the last drop bit or before it steps the
-    # field; one that reaches past it settles the field at once. Either
+    # A run whose horizon is at the last drop bit or before it leaves that
+    # loser on the wire; one that reaches past it settles the field. Either
     # way the bus stands at the horizon and gives what stepping gives.
     cut = LAST_DROP + offset
     assert crowd_run([cut]) == with_skip(False, crowd_run, [cut]) == crowd_run([])
+
+
+def test_a_cut_anywhere_in_a_contended_field(steps):
+    # A run whose horizon lies inside the field, or just past it, ends in
+    # the step that starts the slot, and leaves the contenders not yet out
+    # on the wire; the next run's one step goes on from there, sends the
+    # winner whole and delivers it, as one run and plain stepping give.
+    whole = crowd_run([])
+    for cut in range(1, LAST_DROP + 3):
+        plain = with_skip(False, crowd_run, [cut])
+        steps.clear()
+        assert crowd_run([cut]) == plain == whole, cut
+        assert steps == [0, cut], cut
+
+
+# The bits of CROWD's field at which no contender drops out: each contender
+# still on the wire drives the winner's level there.
+DROPS = {first_difference(CROWD[-1], frame) for frame in CROWD[:-1]}
+UNDROPPED = [j for j in range(1, LAST_DROP) if j not in DROPS]
+
+
+@pytest.mark.parametrize("agree", [True, False])
+def test_a_fault_inside_a_contended_field(steps, agree):
+    # A fault of the contenders' level changes only the trace, and one of
+    # the other level is a bit error for them all. Either way the pass
+    # stops at it and the step goes on into stepping it. The next step's
+    # pass then goes on from there to the winner's intermission; or, after
+    # the error, it jumps the intermission, and the retransmission's step
+    # sends the frames to the horizon.
+    stream = wire_plan(CROWD[-1]).stream
+    assert {stream[j] for j in UNDROPPED} == {DOMINANT, RECESSIVE}
+    for j in UNDROPPED:
+        level = stream[j] if agree else DOMINANT + RECESSIVE - stream[j]
+        plain = with_skip(False, crowd_run, [], [(j, level)])
+        steps.clear()
+        assert crowd_run([], [(j, level)]) == plain, j
+        assert steps == ([0, j + 1] if agree else [0, j + 1, j + 1 + INTERMISSION_BITS]), j
+
+
+def test_identical_senders_take_one_step(steps):
+    # Two nodes that send one frame at once stay on the wire together to its
+    # end, so the step that starts the slot sends it whole, delivers it to
+    # both and jumps its intermission, as plain stepping gives.
+    def run():
+        bus = build([("a", None), ("b", None), ("c", None)], [])
+        trace = bus.run([ScheduleEntry(0, "a", LONE), ScheduleEntry(0, "b", LONE)],
+                        PLAN.total_len + INTERMISSION_BITS)
+        return outcome(bus, trace)
+
+    plain = with_skip(False, run)
+    steps.clear()
+    got = run()
+    assert got == plain
+    assert len(steps) == 1
+    assert [(e.node, e.kind) for e in got[0][2:]] == [
+        ("a", EventKind.FRAME_DELIVERED), ("b", EventKind.FRAME_DELIVERED)]
+    assert got[2] == [[], [], [LONE]]
+
+
+def test_losers_ack_the_winner_in_the_same_step(steps):
+    # With no other node on the bus, the loser of a two-node slot drives
+    # the winner's ACK slot dominant, so the slot's one step sends the
+    # winner whole and jumps its intermission, as plain stepping gives.
+    won, lost = data_frame(0x100, b"\x01"), data_frame(0x101, b"\x02")
+
+    def run():
+        bus = build([("a", None), ("b", None)], [])
+        trace = bus.run([ScheduleEntry(0, "a", won), ScheduleEntry(0, "b", lost)],
+                        wire_plan(won).total_len + INTERMISSION_BITS)
+        return outcome(bus, trace)
+
+    plain = with_skip(False, run)
+    steps.clear()
+    got = run()
+    assert got == plain
+    assert len(steps) == 1
+    assert [(e.node, e.kind) for e in got[0][2:]] == [
+        ("b", EventKind.ARBITRATION_LOST), ("a", EventKind.FRAME_DELIVERED)]
+
+
+@pytest.mark.parametrize("skip", [True, False])
+def test_a_tie_of_different_frames_is_stepped(monkeypatch, skip):
+    # Two frames of one key differ only in their data, so their senders
+    # stay on the wire together through the field and the sender of the
+    # recessive data bit gets a bit error there.
+    monkeypatch.setattr(Bus, "_SKIP", skip)
+    first, second = data_frame(0x100, b"\x01"), data_frame(0x100, b"\x02")
+    bus = build([("a", None), ("b", None), ("c", None)], [])
+    trace = bus.run([ScheduleEntry(0, "a", first), ScheduleEntry(0, "b", second)], 100)
+    at = first_difference(first, second)
+    assert wire_plan(second).stream[at] == RECESSIVE
+    assert [(e.time_bits, e.node, e.kind) for e in trace][2:4] == [
+        (at, "b", EventKind.ERROR_FRAME), (at + 1 + INTERMISSION_BITS, "a", EventKind.RETRANSMIT)]
