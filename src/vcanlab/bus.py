@@ -497,12 +497,14 @@ class Bus:
         which it differs from the lowest key. Up to that bit the two sent the
         same levels, and so the same stuff bits: the plan of a survivor, a
         transmitter of the lowest key, maps the bit to its stuffed index.
-        Survivors stay on the wire together, so they must send one stream.
-        With several transmitters the skip refuses, leaving bit ``t`` to
-        :meth:`_tx_bit`, while a node is bus-off, at a fault at ``t`` and on
-        a tie of different streams. The losers that drop out inside the
-        stretch get their ``ArbitrationLost`` events by drop bit, then in
-        attach order, as stepping gives; the others stay on the wire.
+        Survivors stay on the wire together while they send one stream, so
+        a tie of different frames (one key, other data) is skipped only up
+        to the first bit where their streams part. With several transmitters
+        the skip refuses, leaving bit ``t`` to :meth:`_tx_bit`, while a node
+        is bus-off, at a fault at ``t`` and at that parting bit. The losers
+        that drop out inside the stretch get their ``ArbitrationLost`` events
+        by drop bit, then in attach order, as stepping gives; the others stay
+        on the wire.
 
         Only a bus-off node's recovery can change a mode inside the frame, and
         the skip ends with that. The skip covers bits k .. stop - 1. It passes
@@ -519,6 +521,7 @@ class Bus:
         active = survivors = self._active
         k = self._k
         drop = -1  # the stuffed index of the last drop, if a loser is left
+        room = until_bits - t  # the bits the stretch may cover
         if len(active) > 1:
             # A fault at bit t, the commonest under a burst, refuses before
             # any work.
@@ -535,10 +538,18 @@ class Bus:
             tied = keys.count(win)
             survivors = [entry for _, entry in ranked[-tied:]]
             if tied > 1:
-                stream = survivors[0].enc.stream
-                for entry in survivors:
-                    if entry.enc.stream != stream:
+                # Survivors that part at bit ``split`` go on together to it;
+                # equal keys send equal levels through the field, so it lies
+                # past the last drop.
+                streams = [entry.enc.stream for entry in survivors]
+                lo, hi = min(streams), max(streams)
+                if lo != hi:
+                    split = k
+                    while lo[split] == hi[split]:
+                        split += 1
+                    if split == k:
                         return False
+                    room = min(room, split - k)
             if tied < len(active):
                 after = survivors[0].enc.stuff_after
                 u = 33 - ranked[-tied - 1][0]
@@ -547,7 +558,7 @@ class Bus:
         end = plan.total_len
         ack = plan.ack_idx
         stop = end if k > ack or self._acked(survivors) else ack
-        stop = stop if stop - k <= until_bits - t else k + until_bits - t
+        stop = stop if stop - k <= room else k + room
         faults = self._faults_in(t, t + stop - k) if self._fault_bits else ()
         # An ACK slot inside the stretch is another node's ACK: dominant. A
         # fault up to the last drop is stepped: its event goes before the

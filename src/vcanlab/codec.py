@@ -266,10 +266,9 @@ def wire_plan(frame: Frame) -> WirePlan:
     """Lay out ``frame`` for the wire: :func:`frame_body_bits` and its
     :func:`crc15` as one integer, stuffed a byte at a time through a table
     built from :func:`stuff_with_positions`, then the recessive tail."""
-    v = frame.id.value
-    dlc = frame.dlc
-    rtr = 0 if frame.kind is _DATA else 1
-    if frame.id.extended:
+    (v, extended), kind, dlc, payload = frame
+    rtr = 0 if kind is _DATA else 1
+    if extended:
         # SOF ID[28:18] SRR IDE ID[17:0] RTR r1 r0 DLC
         body = (v >> 18) << 27 | 3 << 25 | (v & 0x3FFFF) << 7 | rtr << 6 | dlc
         body_len = _EXT_HEADER_BITS
@@ -279,7 +278,7 @@ def wire_plan(frame: Frame) -> WirePlan:
         body_len = _STD_HEADER_BITS
         arb = STD_ARBITRATION_END
     if not rtr and dlc:
-        body = body << 8 * dlc | int.from_bytes(frame.payload, "big")
+        body = body << 8 * dlc | int.from_bytes(payload, "big")
         body_len += 8 * dlc
     crc = _crc15_int(body, body_len)
     # SOF through the last CRC bit, stuffed.

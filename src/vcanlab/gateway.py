@@ -8,6 +8,8 @@ feed bytes in, drain bytes out between simulation steps.
 from __future__ import annotations
 
 import enum
+import re
+from binascii import a2b_hex, b2a_hex
 
 from .frame import Frame, FrameId, MAX_EXTENDED_ID, MAX_STANDARD_ID
 # Enum members bound once, as frame.py explains.
@@ -18,8 +20,8 @@ CR = b"\r"
 BEL = b"\x07"
 MAX_LINE_BYTES = 28  # including the CR terminator
 
-# Checked before int(..., 16) and bytes.fromhex, which also take lower case,
-# spaces and underscores.
+# Checked before int(..., 16), which also takes lower case, spaces and
+# underscores, when a refused line's fault is named.
 _HEX = frozenset("0123456789ABCDEF")
 
 
@@ -38,10 +40,11 @@ class SerialParseError(ValueError):
         super().__init__(message or reason.value)
 
 
-def _hex_field(text: str, what: str) -> int:
-    if not text or not _HEX.issuperset(text):
-        raise SerialParseError(ParseReason.BAD_HEX, f"bad hex in {what}: {text!r}")
-    return int(text, 16)
+# The one acceptance rule. A well-formed line: a command and identifier in
+# range (standard ids to 0x7FF, extended ones to 0x1FFFFFFF), a DLC digit of
+# 0-8, uppercase hex data and at most one CR; at most 27 bytes, so no line
+# it takes is over MAX_LINE_BYTES. The data length is checked after it.
+_LINE = re.compile(rb"([tr][0-7][0-9A-F]{2}|[TR][01][0-9A-F]{7})([0-8])([0-9A-F]{0,16})\r?")
 
 
 def parse_serial_line(data: bytes) -> Frame:
@@ -49,62 +52,79 @@ def parse_serial_line(data: bytes) -> Frame:
 
     Grammar: ``t<iii><d><data>`` / ``T<iiiiiiii><d><data>`` for data frames,
     ``r<iii><d>`` / ``R<iiiiiiii><d>`` for remote frames; uppercase hex,
-    optionally CR-terminated.
+    optionally CR-terminated. A line is taken with one match of ``_LINE``;
+    the fault of a refused line is named by :func:`_refusal`.
     """
+    match = _LINE.fullmatch(data)
+    if match is not None:
+        head, dlc, body = match.groups()
+        frame_id = FrameId(int(head[1:], 16), extended=len(head) == 9)
+        dlc = int(dlc)
+        if head[0] in b"tT":
+            if len(body) == 2 * dlc:
+                return Frame(frame_id, _DATA, dlc, a2b_hex(body))
+        elif not body:
+            return Frame(frame_id, _REMOTE, dlc, b"")
+    raise _refusal(data)
+
+
+def _refusal(data: bytes) -> SerialParseError:
+    """The error for a line that :func:`parse_serial_line` refuses: its
+    first fault, field by field from the command on."""
     if len(data) > MAX_LINE_BYTES:
-        raise SerialParseError(ParseReason.OVERFLOW, "line too long")
+        return SerialParseError(ParseReason.OVERFLOW, "line too long")
     if data.endswith(CR):
         data = data[:-1]
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError:
-        raise SerialParseError(ParseReason.BAD_COMMAND, "non-ASCII input") from None
+        return SerialParseError(ParseReason.BAD_COMMAND, "non-ASCII input")
     if not text:
-        raise SerialParseError(ParseReason.BAD_COMMAND, "empty line")
+        return SerialParseError(ParseReason.BAD_COMMAND, "empty line")
     cmd, rest = text[0], text[1:]
     if cmd not in "tTrR":
-        raise SerialParseError(ParseReason.BAD_COMMAND, f"unknown command {cmd!r}")
+        return SerialParseError(ParseReason.BAD_COMMAND, f"unknown command {cmd!r}")
     extended = cmd in "TR"
     id_digits = 8 if extended else 3
     if len(rest) < id_digits + 1:
-        raise SerialParseError(ParseReason.LENGTH_MISMATCH, "line too short")
-    id_value = _hex_field(rest[:id_digits], "identifier")
-    limit = MAX_EXTENDED_ID if extended else MAX_STANDARD_ID
-    if id_value > limit:
-        raise SerialParseError(ParseReason.ID_OUT_OF_RANGE,
-                               f"identifier 0x{id_value:X} out of range")
+        return SerialParseError(ParseReason.LENGTH_MISMATCH, "line too short")
+    ident = rest[:id_digits]
+    if not _HEX.issuperset(ident):
+        return _bad_hex(ident, "identifier")
+    id_value = int(ident, 16)
+    if id_value > (MAX_EXTENDED_ID if extended else MAX_STANDARD_ID):
+        return SerialParseError(ParseReason.ID_OUT_OF_RANGE,
+                                f"identifier 0x{id_value:X} out of range")
     dlc_ch = rest[id_digits]
     if dlc_ch not in _HEX:
-        raise SerialParseError(ParseReason.BAD_HEX, f"bad dlc digit {dlc_ch!r}")
+        return SerialParseError(ParseReason.BAD_HEX, f"bad dlc digit {dlc_ch!r}")
     dlc = int(dlc_ch, 16)
     if dlc > 8:
-        raise SerialParseError(ParseReason.BAD_DLC, f"dlc {dlc} exceeds 8")
+        return SerialParseError(ParseReason.BAD_DLC, f"dlc {dlc} exceeds 8")
     body = rest[id_digits + 1:]
-    frame_id = FrameId(id_value, extended=extended)
     if cmd in "rR":
-        if body:
-            raise SerialParseError(ParseReason.LENGTH_MISMATCH,
-                                   "remote frame carries no data")
-        return Frame(frame_id, _REMOTE, dlc, b"")
+        return SerialParseError(ParseReason.LENGTH_MISMATCH,
+                                "remote frame carries no data")
     if len(body) != 2 * dlc:
-        raise SerialParseError(ParseReason.LENGTH_MISMATCH,
-                               f"expected {2 * dlc} data digits, got {len(body)}")
-    if not _HEX.issuperset(body):
-        for i in range(0, len(body), 2):  # name the first bad byte pair
-            _hex_field(body[i:i + 2], "data")
-    return Frame(frame_id, _DATA, dlc, bytes.fromhex(body))
+        return SerialParseError(ParseReason.LENGTH_MISMATCH,
+                                f"expected {2 * dlc} data digits, got {len(body)}")
+    # Only bad hex in the data is left: name the first bad byte pair.
+    pair = next(body[i:i + 2] for i in range(0, len(body), 2)
+                if not _HEX.issuperset(body[i:i + 2]))
+    return _bad_hex(pair, "data")
+
+
+def _bad_hex(text: str, what: str) -> SerialParseError:
+    return SerialParseError(ParseReason.BAD_HEX, f"bad hex in {what}: {text!r}")
 
 
 def format_serial_line(frame: Frame) -> bytes:
     """Exact inverse of :func:`parse_serial_line`; uppercase hex, CR terminated."""
-    if frame.id.extended:
-        cmd = "T" if frame.kind is _DATA else "R"
-        ident = f"{frame.id.value:08X}"
-    else:
-        cmd = "t" if frame.kind is _DATA else "r"
-        ident = f"{frame.id.value:03X}"
-    data = frame.payload.hex().upper() if frame.kind is _DATA else ""
-    return f"{cmd}{ident}{frame.dlc:X}{data}".encode("ascii") + CR
+    (value, extended), kind, dlc, payload = frame
+    if kind is _DATA:
+        return (b"T%08X%X%b\r" if extended else b"t%03X%X%b\r") % (
+            value, dlc, b2a_hex(payload).upper())
+    return (b"R%08X%X\r" if extended else b"r%03X%X\r") % (value, dlc)
 
 
 class GatewaySession:
@@ -126,45 +146,44 @@ class GatewaySession:
         Responds CR per accepted line, BEL per rejected one; the session never
         aborts. A line that reaches ``MAX_LINE_BYTES`` bytes without a CR is
         rejected at that byte, and the rest of it, through the next CR, is
-        dropped. Each call scans ``incoming`` a whole line at a time."""
+        dropped. Each call splits ``incoming`` at its CRs: a line that starts
+        with nothing buffered is parsed straight from the split, and only a
+        line cut across calls goes through ``rx_buffer``."""
         out = bytearray()
         buf = self.rx_buffer
-        pos, size = 0, len(incoming)
-        while pos < size:
-            cr = incoming.find(CR, pos)
+        lines = incoming.split(CR)
+        tail = lines.pop()  # the bytes after the last CR: a line in progress
+        if lines:
             if self._discarding:
-                if cr < 0:
-                    break
                 self._discarding = False
-                pos = cr + 1
-                continue
-            end = size if cr < 0 else cr
-            room = MAX_LINE_BYTES - len(buf)
-            if end - pos >= room:
+                del lines[0]
+            elif buf:
+                lines[0] = bytes(buf) + lines[0]
                 buf.clear()
-                self.parse_errors += 1
-                self._discarding = True
-                out += BEL
-                pos += room
-                continue
-            buf += incoming[pos:end]
-            if cr < 0:
-                break
-            pos = cr + 1
-            line = bytes(buf)
-            buf.clear()
+        submit = self.node.submit
+        # A whole line of MAX_LINE_BYTES bytes or more is too long for the
+        # grammar, so the parser refuses it: one BEL, as such a line gets at
+        # that byte when its CR comes in a later call.
+        for line in lines:
             try:
-                frame = parse_serial_line(line)
-                self.node.submit(frame)
+                submit(parse_serial_line(line))
             except (SerialParseError, BusOffError):
                 self.parse_errors += 1
                 out += BEL
             else:
                 self.frames_in += 1
                 out += CR
+        if not self._discarding:
+            if len(buf) + len(tail) >= MAX_LINE_BYTES:
+                buf.clear()
+                self.parse_errors += 1
+                self._discarding = True
+                out += BEL
+            else:
+                buf += tail
         received = self.node.received
-        while self._rx_cursor < len(received):
-            out += format_serial_line(received[self._rx_cursor])
-            self.frames_out += 1
-            self._rx_cursor += 1
+        if self._rx_cursor < len(received):
+            out += b"".join(map(format_serial_line, received[self._rx_cursor:]))
+            self.frames_out += len(received) - self._rx_cursor
+            self._rx_cursor = len(received)
         return bytes(out)

@@ -7,6 +7,7 @@ import bisect
 import enum
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, NamedTuple, Optional
 
 from .frame import Frame, FrameId, arbitration_key
@@ -154,10 +155,12 @@ class NodeStatus:
 
 
 _seq = itertools.count()
+_KEY = attrgetter("key")
 
 
 class QueuedFrame:
-    """Transmit-queue entry; orders by arbitration priority, then submit order."""
+    """Transmit-queue entry. ``key`` is its place in a node's queue:
+    arbitration priority, then submit order."""
 
     __slots__ = ("frame", "node", "key", "attempted", "enc")
 
@@ -167,9 +170,6 @@ class QueuedFrame:
         self.key = (arbitration_key(frame), next(_seq))
         self.attempted = False
         self.enc = None  # lazily built transmission plan (set by the bus)
-
-    def __lt__(self, other: "QueuedFrame") -> bool:
-        return self.key < other.key
 
 
 class Node:
@@ -188,7 +188,7 @@ class Node:
         """Queue a frame for transmission, ordered by arbitration priority."""
         if self.state.mode is _BUS_OFF:
             raise BusOffError(f"node {self.name} is bus-off")
-        bisect.insort(self.queue, QueuedFrame(frame, self))
+        bisect.insort(self.queue, QueuedFrame(frame, self), key=_KEY)
 
     def status(self) -> NodeStatus:
         return NodeStatus(self.name, self.state.mode, self.state.tec,

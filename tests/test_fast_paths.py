@@ -1411,15 +1411,25 @@ def test_losers_ack_the_winner_in_the_same_step(steps):
 
 
 @pytest.mark.parametrize("skip", [True, False])
-def test_a_tie_of_different_frames_is_stepped(monkeypatch, skip):
+def test_a_tie_of_different_frames_is_stepped(steps, skip):
     # Two frames of one key differ only in their data, so their senders
     # stay on the wire together through the field and the sender of the
-    # recessive data bit gets a bit error there.
-    monkeypatch.setattr(Bus, "_SKIP", skip)
+    # recessive data bit gets a bit error where the streams part. Under the
+    # skip the step that starts the slot goes on to that bit and steps it.
     first, second = data_frame(0x100, b"\x01"), data_frame(0x100, b"\x02")
-    bus = build([("a", None), ("b", None), ("c", None)], [])
-    trace = bus.run([ScheduleEntry(0, "a", first), ScheduleEntry(0, "b", second)], 100)
+
+    def run():
+        bus = build([("a", None), ("b", None), ("c", None)], [])
+        trace = bus.run([ScheduleEntry(0, "a", first), ScheduleEntry(0, "b", second)], 100)
+        return outcome(bus, trace)
+
+    plain = with_skip(False, run)
+    steps.clear()
+    got = with_skip(skip, run)
+    assert got == plain
     at = first_difference(first, second)
     assert wire_plan(second).stream[at] == RECESSIVE
-    assert [(e.time_bits, e.node, e.kind) for e in trace][2:4] == [
+    assert [(e.time_bits, e.node, e.kind) for e in got[0]][2:4] == [
         (at, "b", EventKind.ERROR_FRAME), (at + 1 + INTERMISSION_BITS, "a", EventKind.RETRANSMIT)]
+    if skip:
+        assert [bit for bit in steps if bit <= at] == [0]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcanlab.bus import Bus, BusConfig, ScheduleEntry
-from vcanlab.frame import FrameKind, data_frame, remote_frame
+from vcanlab.frame import Frame, FrameKind, data_frame, remote_frame
 from vcanlab.gateway import (BEL, CR, GatewaySession, ParseReason,
                              SerialParseError, format_serial_line,
                              parse_serial_line)
@@ -22,14 +22,20 @@ _INSERTS = {"space": b" ", "underscore": b"_", "cr": b"\r",
 
 @st.composite
 def mutated_lines(draw):
-    """A valid line from :func:`format_serial_line`, with up to three edits."""
+    """A valid line from :func:`format_serial_line`, with up to three edits.
+
+    Overwriting a character with an uppercase hex digit reaches the edges of
+    the grammar's digit ranges: standard ids 0x800-0xFFF, extended ids from
+    0x20000000, DLC digits 9-F and data one digit short or long."""
     frame = random_frame(draw(st.randoms(use_true_random=False)))
     line = bytearray(format_serial_line(frame))
     for _ in range(draw(st.integers(0, 3))):
-        op = draw(st.sampled_from(["lower", "drop", *_INSERTS]))
+        op = draw(st.sampled_from(["lower", "drop", "hex", *_INSERTS]))
         i = draw(st.integers(0, len(line)))
         if op == "lower":
             line[i:i + 1] = line[i:i + 1].lower()
+        elif op == "hex":
+            line[i:i + 1] = draw(st.sampled_from(b"0123456789ABCDEF")).to_bytes(1, "big")
         elif op == "drop":
             del line[i:i + 1]
         else:
@@ -87,6 +93,30 @@ class TestParse:
     def test_matches_the_reference_parser(self, data):
         assert parse_outcome(parse_serial_line, data) == \
             parse_outcome(parse_serial_line_reference, data)
+
+
+# Lines at the edges of the grammar's ranges, with the reason each gets
+# (None: accepted).
+_EDGE_LINES = [
+    (b"t7FF0", None),                                 # the last standard id
+    (b"t8000", ParseReason.ID_OUT_OF_RANGE),
+    (b"T1FFFFFFF0", None),                            # the last extended id
+    (b"T200000000", ParseReason.ID_OUT_OF_RANGE),
+    (b"t1239", ParseReason.BAD_DLC),
+    (b"r1238", None),
+    (b"r1239", ParseReason.BAD_DLC),
+    (b"r1231AB", ParseReason.LENGTH_MISMATCH),
+    (b"t1231A", ParseReason.LENGTH_MISMATCH),
+    (b"t1230\r\r", ParseReason.LENGTH_MISMATCH),       # one CR is stripped
+    (b"T1ABCDEF08" + b"00" * 9 + b"\r", ParseReason.OVERFLOW),  # 29 bytes
+]
+
+
+@pytest.mark.parametrize("line, reason", _EDGE_LINES)
+def test_edge_lines_match_the_reference_parser(line, reason):
+    got = parse_outcome(parse_serial_line, line)
+    assert got == parse_outcome(parse_serial_line_reference, line)
+    assert (None if isinstance(got, Frame) else got[0]) is reason
 
 
 class TestFormat:
